@@ -2,17 +2,21 @@
 
 The robustness of a formula is computed bottom-up over the AST: atoms are
 kernel correlations, boolean connectives are pointwise min/max, and the
-temporal operators are sliding-window extrema over ``[t-b, t-a]`` (computed
-in amortized O(N) with a monotone deque).  ``since`` follows the bounded
-recursion max over t' of min(rho2(t'), min over (t', t] of rho1).
+temporal operators are sliding-window extrema over ``[t-b, t-a]``
+(``scipy.ndimage`` min/max filters, O(N) in C).  ``since`` follows the
+bounded recursion max over t' of min(rho2(t'), min over (t', t] of rho1),
+evaluated in O(N) by a block decomposition (Donze, Ferrere and Maler,
+"Efficient Robust Monitoring for STL", CAV 2013).  Every kernel only
+selects sample values with min and max, so its output equals a brute-force
+scan of the same windows bit for bit.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 from .errors import (
     GridMismatch,
@@ -32,6 +36,7 @@ from .logic import (
     Since,
     TrueFormula,
     Or,
+    _check_window,
     _window_offsets,
 )
 from .signals import Signal, align_signals, correlate
@@ -42,7 +47,6 @@ class RobustnessSignal:
     """Robustness values on the sub-domain where every window fits."""
 
     signal: Signal
-    valid_domain: tuple[float, float]
 
     @property
     def t0(self) -> float:
@@ -119,42 +123,76 @@ def valid_domain(phi: Formula, input_domain: tuple[float, float],
 # Sliding-window extrema
 # ---------------------------------------------------------------------------
 
+def _window_extremum(x: np.ndarray, oa: int, ob: int,
+                     mode: str) -> np.ndarray:
+    """out[k-ob] = extremum of ``x[k-ob : k-oa+1]`` for k in [ob, len(x)).
+
+    The filter centres a window of ``ob-oa+1`` samples on index
+    ``k-ob + size//2``; only outputs whose window lies wholly inside ``x``
+    are kept, so the filter's boundary mode never reaches the result.
+    """
+    size = ob - oa + 1
+    filt = maximum_filter1d if mode == "max" else minimum_filter1d
+    return filt(x, size)[size // 2: size // 2 + len(x) - ob]
+
+
 def sliding_extremum(u: Signal, interval: Interval | tuple[float, float],
                      mode: str) -> Signal:
-    """y(t) = extremum of ``u`` over ``[t-b, t-a]`` via a monotone deque.
+    """y(t) = extremum of ``u`` over ``[t-b, t-a]``.
 
-    Produces exactly the same values as a brute-force scan of the window
-    (the algorithm only moves sample values around, never combines them).
+    Uses the ``scipy.ndimage`` min/max filters, O(N) in C whatever the
+    window length.  Produces exactly the same values as a brute-force scan
+    of the window: the filters only select sample values, never combine
+    them.
     """
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
     if not isinstance(interval, Interval):
         interval = Interval(*interval)
     oa, ob = _window_offsets(interval, u.dt)
-    from .logic import _check_window
     _check_window(oa, ob, interval, u)
-    x = u.samples
-    n = len(x)
-    if n - ob < 2:
+    if len(u) - ob < 2:
         raise WindowLargerThanSignal(
             f"window {interval} leaves fewer than two output samples")
-    out = np.empty(n - ob)
-    keep_newer = (np.greater_equal if mode == "max" else np.less_equal)
-    dq: deque[int] = deque()
-    # Window at output k (input index k+ob) covers input [k, k+ob-oa].
-    for j in range(0, ob - oa):
-        while dq and keep_newer(x[j], x[dq[-1]]):
-            dq.pop()
-        dq.append(j)
-    for k in range(0, n - ob):
-        j = k + ob - oa
-        while dq and keep_newer(x[j], x[dq[-1]]):
-            dq.pop()
-        dq.append(j)
-        if dq[0] < k:
-            dq.popleft()
-        out[k] = x[dq[0]]
+    out = _window_extremum(u.samples, oa, ob, mode)
     return Signal(u.t0 + ob * u.dt, u.dt, out)
+
+
+def _since_window(r1: np.ndarray, r2: np.ndarray, w: int) -> np.ndarray:
+    """z[m-w] = max over j in [m-w, m] of min(r2[j], min r1 over (j, m]),
+    for m in [w, len(r1)).
+
+    The samples are cut into blocks of ``w+1``, aligned so that the first
+    output starts a block; a window then covers a suffix of the previous
+    block and a prefix of its own.  Per block, ``z = max(R, min(P, S))``:
+    R is the unbounded since restarted at the block start (a recursion run
+    across all blocks at once, ``min(w+1, outputs)`` numpy steps), P the
+    prefix minimum of ``r1`` and S the suffix max-min of the previous
+    block.  The padding before index 0 and after the last sample lies
+    outside every window an output reads.
+    """
+    b = w + 1
+    m = len(r1) - w
+    nb = -(-m // b)
+    # Row 0 is the block before the first output and starts at index -1.
+    pad = (1, (nb + 1) * b - len(r1) - 1)
+    a1 = np.pad(r1, pad, constant_values=np.inf).reshape(nb + 1, b)
+    a2 = np.pad(r2, pad, constant_values=-np.inf).reshape(nb + 1, b)
+    # S: in each earlier block, best min(r2[j], min r1 over (j, block end])
+    # over j at or after a position; shifted so column p reads from p+1.
+    tail = np.full((nb, b), np.inf)
+    tail[:, :-1] = np.minimum.accumulate(a1[:-1, :0:-1], axis=1)[:, ::-1]
+    s = np.maximum.accumulate(np.minimum(a2[:-1], tail)[:, ::-1],
+                              axis=1)[:, ::-1]
+    shifted = np.full((nb, b), -np.inf)
+    shifted[:, :-1] = s[:, 1:]
+    prefix = np.minimum.accumulate(a1[1:], axis=1)
+    r = a2[1:].copy()
+    tmp = np.empty(nb)
+    for p in range(1, min(b, m)):
+        np.minimum(r[:, p - 1], a1[1:, p], out=tmp)
+        np.maximum(r[:, p], tmp, out=r[:, p])
+    return np.maximum(r, np.minimum(prefix, shifted)).ravel()[:m]
 
 
 def since_robustness(rho1: Signal, rho2: Signal,
@@ -164,6 +202,12 @@ def since_robustness(rho1: Signal, rho2: Signal,
     For each t: max over grid t' in [t-b, t-a] of
     min(rho2(t'), min over grid t'' in (t', t] of rho1(t'')).  An empty
     inner window (t' == t) contributes +inf so rho2 governs the value.
+
+    The inner minimum is split at ``t-a``: y(t) = min(A(t), z(t-a)), where
+    A is the sliding minimum of rho1 over (t-a, t] (+inf when a = 0) and z
+    is ``since`` over ``[0, b-a]``, computed blockwise in O(N) work (see
+    ``_since_window``).  Only min and max of sample values are taken, so
+    the result is exact.
     """
     if not isinstance(interval, Interval):
         interval = Interval(*interval)
@@ -171,25 +215,15 @@ def since_robustness(rho1: Signal, rho2: Signal,
         raise GridMismatch("since operands are not on a common grid")
     u, v = align_signals(rho1, rho2)
     oa, ob = _window_offsets(interval, u.dt)
-    from .logic import _check_window
     _check_window(oa, ob, interval, u)
-    r1 = u.samples
-    r2 = v.samples
-    n = len(r1)
+    n = len(u)
     if n - ob < 2:
         raise WindowLargerThanSignal(
             f"window {interval} leaves fewer than two output samples")
-    out = np.empty(n - ob)
-    for k in range(ob, n):
-        lo, hi = k - ob, k - oa
-        # inner[j - lo] = min of r1 over (j, k]; +inf when the slice is empty
-        inner = np.full(hi - lo + 1, np.inf)
-        tail = r1[lo + 1: k + 1]
-        if tail.size:
-            suffix = np.minimum.accumulate(tail[::-1])[::-1]
-            m = min(hi, k - 1)
-            inner[: m - lo + 1] = suffix[: m - lo + 1]
-        out[k - ob] = np.max(np.minimum(r2[lo: hi + 1], inner))
+    out = _since_window(u.samples[:n - oa], v.samples[:n - oa], ob - oa)
+    if oa > 0:
+        np.minimum(out, _window_extremum(u.samples, 0, oa - 1, "min")
+                   [ob - oa + 1:], out=out)
     return Signal(u.t0 + ob * u.dt, u.dt, out)
 
 
@@ -232,7 +266,7 @@ def robustness(phi: Formula, x: Signal, kt: KernelTable) -> RobustnessSignal:
         sig = _robustness_signal(phi, x, kt)
     except (WindowLargerThanSignal,) as exc:
         raise SignalTooShortForFormula(str(exc)) from exc
-    return RobustnessSignal(sig, (sig.t0, sig.t_end))
+    return RobustnessSignal(sig)
 
 
 def save_robustness_csv(rho: RobustnessSignal, path) -> None:

@@ -430,9 +430,11 @@ def fit_poly_delay(op: str, interval: Interval | tuple[float, float],
         sampled, template = proto.delayed_matrix(u)
         ks = _training_times((template.t0, template.t_end), u.dt,
                              cfg.times_per_signal)
-        blocks.append(polynomial_features(sampled[ks], exps))
+        blocks.append(sampled[ks])
         targets.append(exact.samples[ks])
-    design = np.vstack(blocks)
+    # Features are computed row by row, so one call over the stacked rows
+    # gives the same design matrix as one call per signal.
+    design = polynomial_features(np.vstack(blocks), exps)
     target = np.concatenate(targets)
     if not np.isfinite(design).all() or np.linalg.norm(design) == 0:
         raise RankDeficient("regression matrix is degenerate")

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from bbstl.signals import Signal, make_gaussian_kernel, table_kernel
+
+# Property tests draw the same examples on every run.
+settings.register_profile("bbstl", derandomize=True, database=None,
+                          deadline=None, max_examples=200)
+settings.load_profile("bbstl")
 
 DT = 0.002
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from bbstl.errors import GridMismatch, SignalTooShortForFormula
 from bbstl.logic import (
@@ -177,6 +178,45 @@ class TestSinceRobustness:
         rho2 = Signal(0.0, DT * 2, np.ones(100))
         with pytest.raises(GridMismatch):
             since_robustness(rho1, rho2, Interval(0.0, 0.1))
+
+
+# Operand samples: arbitrary reals, small integers (ties) and the +-inf
+# that `true` and `not true` produce.
+SAMPLE_VALUES = st.one_of(st.floats(-1e3, 1e3, allow_nan=False),
+                          st.integers(-2, 2).map(float),
+                          st.sampled_from([np.inf, -np.inf]))
+
+
+@st.composite
+def window_cases(draw, operands):
+    """Signals of one length and a window [oa, ob] in samples, with
+    lo = 0, punctual windows and windows one sample short of the signal
+    (ob = n-2, the longest that leaves two outputs) drawn on purpose."""
+    n = draw(st.integers(2, 60))
+    ob = draw(st.one_of(st.integers(0, n - 2), st.just(n - 2)))
+    oa = draw(st.one_of(st.integers(0, ob), st.just(0), st.just(ob)))
+    signals = [Signal(0.0, DT, draw(st.lists(SAMPLE_VALUES, min_size=n,
+                                             max_size=n)))
+               for _ in range(operands)]
+    return signals, (oa * DT, ob * DT)
+
+
+class TestPropertiesAgainstBruteForce:
+    @given(window_cases(1), st.sampled_from(["min", "max"]))
+    def test_sliding_extremum(self, case, mode):
+        (u,), interval = case
+        fast = sliding_extremum(u, Interval(*interval), mode)
+        slow = brute_sliding(u, interval, mode)
+        assert fast.t0 == slow.t0
+        assert np.array_equal(fast.samples, slow.samples)
+
+    @given(window_cases(2))
+    def test_since_robustness(self, case):
+        (rho1, rho2), interval = case
+        fast = since_robustness(rho1, rho2, Interval(*interval))
+        slow = brute_since(rho1, rho2, interval)
+        assert fast.t0 == slow.t0
+        assert np.array_equal(fast.samples, slow.samples)
 
 
 FORMULAS = [

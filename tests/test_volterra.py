@@ -174,6 +174,33 @@ class TestFitPolyDelay:
             res.append(fit.diagnostics.rms_residual)
         assert res[0] >= res[1] - 1e-10 >= res[2] - 2e-10
 
+    def test_batched_features_equal_per_signal_loop(self):
+        # the fit builds its design matrix with one feature call over all
+        # training rows; a call per signal must give the same bits
+        from bbstl.monitor import sliding_extremum
+        from bbstl.volterra import (
+            PolyDelayOperator,
+            _scaled_lstsq,
+            _training_times,
+            polynomial_features,
+        )
+        interval = Interval(0.0, 0.4)
+        fit = fit_poly_delay("hist", interval, FAST)
+        exps = fit.exponents()
+        proto = PolyDelayOperator("hist", interval, fit.delays, FAST.degree,
+                                  tuple((r, 0.0) for r in exps))
+        blocks, targets = [], []
+        for ell in range(FAST.num_signals):
+            u = FAST.training_signal(ell)
+            sampled, template = proto.delayed_matrix(u)
+            ks = _training_times((template.t0, template.t_end), u.dt,
+                                 FAST.times_per_signal)
+            blocks.append(polynomial_features(sampled[ks], exps))
+            targets.append(sliding_extremum(u, interval, "min").samples[ks])
+        coef, _, _ = _scaled_lstsq(np.vstack(blocks),
+                                   np.concatenate(targets), FAST.ridge)
+        assert [a for _, a in fit.terms] == coef.tolist()
+
     def test_underdetermined_rejected(self):
         cfg = FitConfig(num_signals=2, times_per_signal=10)
         with pytest.raises(UnderdeterminedSystem):
