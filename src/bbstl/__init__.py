@@ -13,7 +13,6 @@ from .analysis import (
     SafetyReport,
     Tolerances,
     compression_safety_report,
-    cutoff_frequency,
     cutoff_scan,
     gfrf_grid,
     output_spectrum,
@@ -88,7 +87,6 @@ from .volterra import (
     SeparableFit,
     apply_pipeline,
     atom_volterra,
-    evaluate_gfrf,
     fit_poly_delay,
     fit_separable_minmax,
     memoryless_poly_gfrf,

@@ -38,19 +38,15 @@ class GfrfGrid:
         return np.abs(self.values)
 
 
-def _slot_spectrum(g: Gfrf, delay: float, factor: str,
-                   spec: Spectrum) -> np.ndarray:
-    om = spec.omegas
-    return np.exp(-1j * delay * om) * g.factor_values(factor, om) * spec.bins
-
-
 def output_spectrum(g: Gfrf, spec: Spectrum,
                     max_order: int = 2) -> Spectrum:
     """Predicted spectrum of the operator output for input spectrum X.
 
     Order 1 is the pointwise product H_1 X; order n >= 2 contributes the
-    hyperplane sum evaluated as a chain of grid convolutions per term, each
-    weighted by domega / (2*pi).
+    hyperplane sum evaluated as a chain of grid convolutions of slot
+    spectra exp(-i d w) factor(w) X(w), each weighted by domega / (2*pi).
+    Every vocabulary entry's slot spectrum is computed once, and by
+    linearity one convolution serves every term sharing a slot prefix.
     """
     if not 1 <= max_order <= MAX_SPECTRUM_ORDER:
         raise OrderTooHigh(
@@ -60,17 +56,17 @@ def output_spectrum(g: Gfrf, spec: Spectrum,
     zero_idx = n_bins // 2
     if abs(spec.omega0 + zero_idx * spec.domega) > 1e-9 * spec.domega + 1e-12:
         raise BadRange("spectrum grid must contain omega = 0")
+    weight = spec.domega / (2 * math.pi)
+
+    def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        full = fftconvolve(a, b, axes=1)
+        return full[:, zero_idx: zero_idx + n_bins] * weight
+
+    slots = g.slot_table(spec.omegas) * spec.bins
     out = np.zeros(n_bins, dtype=complex)
-    for order, terms in sorted(g.orders.items()):
-        if order > max_order or not terms:
-            continue
-        for term in terms:
-            acc = _slot_spectrum(g, term.delays[0], term.factors[0], spec)
-            for d, fac in zip(term.delays[1:], term.factors[1:]):
-                w = _slot_spectrum(g, d, fac, spec)
-                acc = fftconvolve(acc, w)[zero_idx: zero_idx + n_bins]
-                acc *= spec.domega / (2 * math.pi)
-            out += term.coeff * acc
+    for order in sorted(g.coeffs):
+        if order <= max_order:
+            out += g.slot_trie(order).contract([slots] * order, convolve)
     return Spectrum(spec.omega0, spec.domega, out, t0=spec.t0)
 
 
@@ -127,7 +123,7 @@ def cutoff_scan(g: Gfrf, threshold: float, omega_max: float,
     axis = np.linspace(0.0, omega_max, num_points)
     envelope = np.zeros(num_points)
     for order in range(1, max_order + 1):
-        if not g.orders.get(order):
+        if order not in g.coeffs:
             continue
         if num_points ** order > budget:
             raise GridTooLarge(
@@ -148,12 +144,6 @@ def cutoff_scan(g: Gfrf, threshold: float, omega_max: float,
     if idx == num_points:
         return CutoffScan(omega_max, False, threshold, axis, envelope)
     return CutoffScan(float(axis[idx]), True, threshold, axis, envelope)
-
-
-def cutoff_frequency(g: Gfrf, threshold: float, omega_max: float,
-                     num_points: int = 65, max_order: int = 2) -> float:
-    """Cut-off frequency in rad/s (omega_max sentinel when none found)."""
-    return cutoff_scan(g, threshold, omega_max, num_points, max_order).omega_star
 
 
 # ---------------------------------------------------------------------------

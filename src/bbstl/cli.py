@@ -182,20 +182,15 @@ def cmd_monitor(args) -> int:
     return 0
 
 
-def _since_parts(phi: Formula):
-    return phi if isinstance(phi, Since) else None
-
-
 def cmd_gfrf(args) -> int:
     cfg = _load_fit(args)
     kt = _load_kernels(args, cfg.dt)
     phi = parse_formula(args.formula)
     out = _outdir(args)
     orders = [int(s) for s in args.orders.split(",") if s]
-    since = _since_parts(phi)
-    if since is not None and args.enable_sampled_since:
+    if isinstance(phi, Since) and args.enable_sampled_since:
         samples = compose.since_sampled_gfrf(
-            since.left, since.right, since.interval,
+            phi.left, phi.right, phi.interval,
             args.enable_sampled_since, kt, cfg, enabled=True)
         for i, s in enumerate(samples):
             _write_json({"eta": s.eta, "formula": format_formula(s.formula),
@@ -257,9 +252,9 @@ def cmd_compress(args) -> int:
     elif args.auto_threshold is not None:
         cfg = _load_fit(args)
         built = compose.build_formula_operator(phi, kt, cfg)
-        cutoff = analysis.cutoff_frequency(built.gfrf, args.auto_threshold,
-                                           args.omega_max, args.points,
-                                           args.max_order)
+        cutoff = analysis.cutoff_scan(built.gfrf, args.auto_threshold,
+                                      args.omega_max, args.points,
+                                      args.max_order).omega_star
     else:
         raise BadArity("provide --cutoff-hz or --auto-threshold")
     tol = analysis.Tolerances(tol_rho=args.tol_rho)

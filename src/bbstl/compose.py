@@ -8,7 +8,11 @@ delays by the outer delay c_j and carries the inner factors through.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import (
     BadArity,
@@ -36,7 +40,6 @@ from .volterra import (
     UNITY,
     FitConfig,
     Gfrf,
-    GfrfTerm,
     MemorylessNode,
     NegNode,
     OperatorPipeline,
@@ -76,11 +79,19 @@ def compositions(n: int, k: int) -> list[tuple[int, ...]]:
 
 def sum_gfrf(g1: Gfrf, g2: Gfrf) -> Gfrf:
     """Order-wise sum of two responses (term lists concatenate)."""
-    orders: dict[int, list[GfrfTerm]] = {}
-    for g in (g1, g2):
-        for n, terms in g.orders.items():
-            orders.setdefault(n, []).extend(terms)
-    return Gfrf(g1.h0 + g2.h0, orders, _merge_atoms(g1, g2))
+    offset = len(g1.slot_delays)
+    coeffs: dict[int, list[np.ndarray]] = {}
+    slot_ids: dict[int, list[np.ndarray]] = {}
+    for g, shift in ((g1, 0), (g2, offset)):
+        for n, ids in g.slot_ids.items():
+            coeffs.setdefault(n, []).append(g.coeffs[n])
+            slot_ids.setdefault(n, []).append(ids + shift)
+    return Gfrf.from_slots(
+        g1.h0 + g2.h0, np.concatenate([g1.slot_delays, g2.slot_delays]),
+        g1.slot_factors + g2.slot_factors,
+        {n: np.concatenate(c) for n, c in coeffs.items()},
+        {n: np.concatenate(i) for n, i in slot_ids.items()},
+        _merge_atoms(g1, g2))
 
 
 def _merge_atoms(g1: Gfrf, g2: Gfrf) -> dict:
@@ -99,71 +110,97 @@ def compose_gfrf(outer: Gfrf, inner: Gfrf, max_order: int = 4) -> Gfrf:
     inner must have zero H_0; both hold for every operator produced by the
     formula pipeline.  H_0 of the result is the outer H_0.
     """
-    for terms in outer.orders.values():
-        for term in terms:
-            if any(f != UNITY for f in term.factors):
-                raise OuterHasAtomFactors(
-                    "outer operator carries atom factors; composition is "
-                    "closed only over delta-train outers")
+    if any(f != UNITY for f in outer.slot_factors):
+        raise OuterHasAtomFactors(
+            "outer operator carries atom factors; composition is "
+            "closed only over delta-train outers")
     if abs(inner.h0) > 1e-12:
         raise InnerHasNonzeroH0(f"inner H_0 = {inner.h0} must be 0")
 
-    inner_orders = {n: t for n, t in inner.orders.items() if t}
-    result: dict[int, list[GfrfTerm]] = {}
+    # outer delay c shifts inner entry (a, f) to entry (c + a, f) of the
+    # result; shift[o, i] is its id
+    delays = np.add.outer(outer.slot_delays, inner.slot_delays).ravel()
+    factors = inner.slot_factors * len(outer.slot_delays)
+    shift = np.arange(delays.size).reshape(len(outer.slot_delays),
+                                           len(inner.slot_delays))
+    coeffs, slot_ids = {}, {}
     for n in range(1, max_order + 1):
-        acc: list[GfrfTerm] = []
-        for k, outer_terms in outer.orders.items():
-            if k < 1 or k > n or not outer_terms:
-                continue
-            for parts in compositions(n, k):
-                pools = [inner_orders.get(m) for m in parts]
-                if any(p is None for p in pools):
-                    continue
-                for outer_term in outer_terms:
-                    _emit(acc, outer_term, parts, pools)
-        if acc:
-            result[n] = acc
-    g = Gfrf(outer.h0, result, _merge_atoms(outer, inner))
+        blocks = [_block_product(outer.coeffs[k], outer.slot_ids[k], parts,
+                                 inner, shift)
+                  for k in outer.slot_ids if 1 <= k <= n
+                  for parts in compositions(n, k)
+                  if all(m in inner.slot_ids for m in parts)]
+        if blocks:
+            coeffs[n] = np.concatenate([c for c, _ in blocks])
+            slot_ids[n] = np.concatenate([i for _, i in blocks])
+    g = Gfrf.from_slots(outer.h0, delays, factors, coeffs, slot_ids,
+                        _merge_atoms(outer, inner))
     return merge_terms(g)
 
 
-def _emit(acc: list[GfrfTerm], outer_term: GfrfTerm,
-          parts: tuple[int, ...], pools: list[list[GfrfTerm]]) -> None:
-    """Emit composed terms for one outer term and one block structure."""
-    stack = [(0, outer_term.coeff, (), ())]
-    while stack:
-        j, coeff, delays, factors = stack.pop()
-        if j == len(parts):
-            acc.append(GfrfTerm(coeff, delays, factors))
-            continue
-        c_j = outer_term.delays[j]
-        for t in pools[j]:
-            stack.append((
-                j + 1,
-                coeff * t.coeff,
-                delays + tuple(c_j + a for a in t.delays),
-                factors + t.factors,
-            ))
+def _block_product(outer_coeffs: np.ndarray, outer_ids: np.ndarray,
+                   parts: tuple[int, ...], inner: Gfrf,
+                   shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Composed terms for every outer term of order k = len(parts) and one
+    block structure: block j takes an order-parts[j] inner term shifted by
+    the outer delay of slot j, over the cartesian product of the blocks.
+
+    Each inner pool runs last term first, so the terms come out in the
+    order of the depth-first expansion in ``tests/gfrf_reference.py``.
+    """
+    k = len(parts)
+    num_outer = len(outer_coeffs)
+    shape = (num_outer,) + tuple(len(inner.coeffs[m]) for m in parts)
+    coeff = outer_coeffs.reshape((num_outer,) + (1,) * k)
+    columns = []
+    for j, m in enumerate(parts):
+        along_j = [1] * k
+        along_j[j] = -1
+        coeff = coeff * inner.coeffs[m][::-1].reshape([1] + along_j)
+        ids = shift[outer_ids[:, j, None, None], inner.slot_ids[m][None, ::-1]]
+        columns.append(np.broadcast_to(
+            ids.reshape([num_outer] + along_j + [m]), shape + (m,)))
+    return coeff.reshape(-1), np.concatenate(columns, axis=-1).reshape(
+        -1, sum(parts))
 
 
-def merge_terms(g: Gfrf, round_digits: int = 12) -> Gfrf:
-    """Combine terms with identical delay/factor signatures."""
-    orders: dict[int, list[GfrfTerm]] = {}
-    for n, terms in g.orders.items():
-        bucket: dict[tuple, list] = {}
-        for t in terms:
-            key = (tuple(round(d, round_digits) for d in t.delays), t.factors)
-            if key in bucket:
-                bucket[key][0] += t.coeff
-            else:
-                # keep the first term's exact delays as the representative
-                bucket[key] = [t.coeff, t.delays]
-        merged = [GfrfTerm(c, delays, f)
-                  for (_, f), (c, delays) in sorted(bucket.items())
-                  if c != 0.0]
-        if merged:
-            orders[n] = merged
-    return Gfrf(g.h0, orders, dict(g.atoms))
+def _lex_keys(columns: list[np.ndarray], radices: list[int]) -> np.ndarray:
+    """int64 keys whose order is the lexicographic order of the rows of
+    ``columns`` (column c holds values in [0, radices[c]))."""
+    key = np.zeros(len(columns[0]), dtype=np.int64)
+    for col, radix in zip(columns, radices):
+        if key.size and int(key.max()) >= np.iinfo(np.int64).max // radix - 1:
+            # dense ranks keep the order and make room for the next column
+            key = np.unique(key, return_inverse=True)[1]
+        key = key * radix + col
+    return key
+
+
+def merge_terms(g: Gfrf) -> Gfrf:
+    """Combine terms with identical delay/factor signatures.
+
+    Delays match when they agree to 12 decimals; the rounding runs once
+    per vocabulary entry.  A merged term keeps the exact delays of its
+    first occurrence, sums the coefficients in term order, and the merged
+    terms come out sorted by (delays, factors).
+    """
+    rounded = [round(d, 12) for d in g.slot_delays.tolist()]
+    delay_rank = np.unique(rounded, return_inverse=True)[1]
+    names = sorted(set(g.slot_factors))
+    factor_rank = np.array([names.index(f) for f in g.slot_factors],
+                           dtype=np.intp)
+    coeffs, slot_ids = {}, {}
+    for n, ids in g.slot_ids.items():
+        key = _lex_keys(list(delay_rank[ids].T) + list(factor_rank[ids].T),
+                        [len(rounded)] * n + [len(names)] * n)
+        _, first, group = np.unique(key, return_index=True,
+                                    return_inverse=True)
+        summed = np.bincount(group, weights=g.coeffs[n])
+        keep = summed != 0.0
+        coeffs[n] = summed[keep]
+        slot_ids[n] = ids[first[keep]]
+    return Gfrf.from_slots(g.h0, g.slot_delays, g.slot_factors, coeffs,
+                           slot_ids, g.atoms)
 
 
 def symmetrize_gfrf(g: Gfrf) -> Gfrf:
@@ -173,19 +210,14 @@ def symmetrize_gfrf(g: Gfrf) -> Gfrf:
     expansion); the symmetrized version evaluates identically inside
     output-spectrum sums and plots like the symmetric convention.
     """
-    import itertools
-    import math as _math
-    orders: dict[int, list[GfrfTerm]] = {}
-    for n, terms in g.orders.items():
-        sym: list[GfrfTerm] = []
-        weight = 1.0 / _math.factorial(n)
-        for t in terms:
-            for perm in itertools.permutations(range(n)):
-                sym.append(GfrfTerm(t.coeff * weight,
-                                    tuple(t.delays[i] for i in perm),
-                                    tuple(t.factors[i] for i in perm)))
-        orders[n] = sym
-    return merge_terms(Gfrf(g.h0, orders, dict(g.atoms)))
+    coeffs, slot_ids = {}, {}
+    for n, ids in g.slot_ids.items():
+        perms = np.array(list(itertools.permutations(range(n))))
+        slot_ids[n] = ids[:, perms].reshape(-1, n)
+        coeffs[n] = np.repeat(g.coeffs[n] * (1.0 / math.factorial(n)),
+                              len(perms))
+    return merge_terms(Gfrf.from_slots(g.h0, g.slot_delays, g.slot_factors,
+                                       coeffs, slot_ids, g.atoms))
 
 
 def prune_gfrf(g: Gfrf, threshold: float) -> tuple[Gfrf, float]:
@@ -199,17 +231,15 @@ def prune_gfrf(g: Gfrf, threshold: float) -> tuple[Gfrf, float]:
         raise BadArity("prune threshold must be >= 0")
     merged = merge_terms(g)
     dropped = 0.0
-    orders: dict[int, list[GfrfTerm]] = {}
-    for n, terms in merged.orders.items():
-        kept = []
-        for t in terms:
-            if abs(t.coeff) < threshold:
-                dropped += abs(t.coeff)
-            else:
-                kept.append(t)
-        if kept:
-            orders[n] = kept
-    return Gfrf(merged.h0, orders, dict(merged.atoms)), dropped
+    coeffs, slot_ids = {}, {}
+    for n, c in merged.coeffs.items():
+        small = np.abs(c) < threshold
+        dropped += float(np.abs(c[small]).sum())
+        coeffs[n] = c[~small]
+        slot_ids[n] = merged.slot_ids[n][~small]
+    return Gfrf.from_slots(merged.h0, merged.slot_delays,
+                           merged.slot_factors, coeffs, slot_ids,
+                           merged.atoms), dropped
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ representation; it is closed under operator composition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -209,32 +209,172 @@ class GfrfTerm:
         return len(self.delays)
 
 
-@dataclass
+EVAL_BLOCK = 1024           # frequency points per evaluation block
+CONTRACT_VALUES = 1 << 14   # complex values per row chunk of a contraction
+
+
+def _real_matmul(real: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """real @ values for a real matrix and a C-ordered complex one, as one
+    real product over the interleaved real and imaginary parts."""
+    return (real @ values.view(float)).view(complex)
+
+
+@dataclass(frozen=True)
+class SlotTrie:
+    """The order-n terms of a response regrouped by their slot prefixes.
+
+    ``levels[j]`` lists the distinct (j+1)-slot prefixes as (index of the
+    j-slot prefix it extends, id of its last slot); ``weights[u, v]`` sums
+    the coefficients of the terms made of (n-1)-slot prefix u followed by
+    slot v.  A product over the first n-1 slots is therefore formed once
+    per prefix, not once per term.
+    """
+
+    levels: tuple[tuple[np.ndarray, np.ndarray], ...]
+    weights: np.ndarray
+
+    def contract(self, tables: list[np.ndarray], combine) -> np.ndarray:
+        """sum_t coeff_t * slot_1 x ... x slot_n for one order.
+
+        ``tables[j]`` holds the values of every vocabulary entry in slot j,
+        shape (V, P), C-ordered; ``combine`` is a bilinear row-by-row
+        product of two (rows, P) arrays (pointwise for responses, grid
+        convolution for spectra), applied left to right.  Rows go through
+        it in chunks of CONTRACT_VALUES values, and the last prefix level
+        is folded into the weights chunk by chunk, never held whole.
+        """
+        if not self.levels:
+            return _real_matmul(self.weights, tables[0])[0]
+        step = max(1, CONTRACT_VALUES // tables[0].shape[1])
+
+        def extend(acc, j, rows):
+            parent, last = self.levels[j]
+            return combine(acc[parent[rows]], tables[j][last[rows]])
+
+        acc = tables[0][self.levels[0][1]]
+        for j in range(1, len(self.levels) - 1):
+            acc = np.concatenate([extend(acc, j, r) for r in
+                                  _chunks(len(self.levels[j][1]), step)])
+        # mixed[v] = sum_u weights[u, v] * prefix_u over (n-1)-slot prefixes
+        if len(self.levels) == 1:
+            mixed = _real_matmul(self.weights.T, acc)
+        else:
+            mixed = sum(_real_matmul(self.weights[r].T,
+                                     extend(acc, len(self.levels) - 1, r))
+                        for r in _chunks(len(self.weights), step))
+        # combine is bilinear, so summing combine(prefix_u, sum_v
+        # weights[u, v] * slot_v) over u equals summing combine(mixed[v],
+        # slot_v) over v: V combines, not one per prefix
+        return sum(combine(mixed[r], tables[-1][r]).sum(axis=0)
+                   for r in _chunks(len(mixed), step))
+
+
+def _chunks(length: int, step: int) -> list[slice]:
+    return [slice(s, s + step) for s in range(0, length, step)]
+
+
 class Gfrf:
     """Multi-order frequency response as sums of factored exponential terms.
 
-    ``orders[n]`` lists the order-n terms; ``atoms`` resolves named factor
-    transfer functions.  ``H_n(w_1..w_n)`` evaluates as
-    sum of coeff * exp(-i sum d_j w_j) * prod factor_j(w_j).
+    The stored form is a slot vocabulary plus per-order arrays: entry v of
+    the vocabulary is the exact delay ``slot_delays[v]`` with the factor
+    named ``slot_factors[v]``, and order n holds ``coeffs[n]`` (float64[T])
+    and ``slot_ids[n]`` (intp[T, n], ids into the vocabulary).
+    ``H_n(w_1..w_n)`` evaluates as
+    sum_t coeffs[n][t] * prod_j exp(-i d_j w_j) * factor_j(w_j),
+    with (d_j, factor_j) the vocabulary entry of slot j of term t.
+
+    The constructor takes ``GfrfTerm`` records per order; ``orders`` gives
+    them back.  ``atoms`` resolves named factor transfer functions.
     """
 
-    h0: float = 0.0
-    orders: dict[int, list[GfrfTerm]] = field(default_factory=dict)
-    atoms: dict[str, Kernel] = field(default_factory=dict)
+    def __init__(self, h0: float = 0.0,
+                 orders: dict[int, list[GfrfTerm]] | None = None,
+                 atoms: dict[str, Kernel] | None = None):
+        entries: dict[tuple[float, str], int] = {}
+        coeffs, slot_ids = {}, {}
+        for n, terms in (orders or {}).items():
+            if any(t.order != n for t in terms):
+                raise BadRange(f"order-{n} response given a term of another "
+                               "order")
+            coeffs[n] = np.array([t.coeff for t in terms], dtype=float)
+            slot_ids[n] = np.array(
+                [[entries.setdefault(s, len(entries))
+                  for s in zip(t.delays, t.factors)] for t in terms],
+                dtype=np.intp).reshape(len(terms), n)
+        self._store(h0, np.array([d for d, _ in entries], dtype=float),
+                    tuple(f for _, f in entries), coeffs, slot_ids, atoms)
+
+    @classmethod
+    def from_slots(cls, h0: float, delays: np.ndarray,
+                   factors: tuple[str, ...], coeffs: dict[int, np.ndarray],
+                   slot_ids: dict[int, np.ndarray],
+                   atoms: dict[str, Kernel] | None = None) -> "Gfrf":
+        """Response from stored arrays; the vocabulary may hold duplicate
+        or unused entries, which are folded and dropped."""
+        g = cls.__new__(cls)
+        g._store(h0, np.asarray(delays, dtype=float), tuple(factors),
+                 coeffs, slot_ids, atoms)
+        return g
+
+    def _store(self, h0, delays, factors, coeffs, slot_ids, atoms) -> None:
+        live = [n for n in coeffs if len(coeffs[n])]
+        used = np.unique(np.concatenate(
+            [slot_ids[n].ravel() for n in live] + [np.zeros(0, np.intp)]))
+        # one id per distinct (exact delay, factor) in use, in id order
+        keys = list(zip(delays.tolist(), factors))
+        index: dict[tuple[float, str], int] = {}
+        remap = np.zeros(len(keys), dtype=np.intp)
+        for v in used.tolist():
+            remap[v] = index.setdefault(keys[v], len(index))
+        self.h0 = float(h0)
+        self.atoms = dict(atoms or {})
+        self.slot_delays = np.array([d for d, _ in index], dtype=float)
+        self.slot_factors = tuple(f for _, f in index)
+        self.coeffs = {n: np.asarray(coeffs[n], dtype=float) for n in live}
+        self.slot_ids = {n: remap[slot_ids[n]] for n in live}
+
+    @property
+    def orders(self) -> dict[int, list[GfrfTerm]]:
+        """The stored terms as ``GfrfTerm`` records, per order."""
+        factors = np.array(self.slot_factors, dtype=object)
+        return {n: [GfrfTerm(c, tuple(d), tuple(f)) for c, d, f in zip(
+                    self.coeffs[n].tolist(), self.slot_delays[ids].tolist(),
+                    factors[ids].tolist())]
+                for n, ids in self.slot_ids.items()}
 
     @property
     def max_order(self) -> int:
-        live = [n for n, terms in self.orders.items() if terms]
-        return max(live) if live else 0
+        return max(self.coeffs, default=0)
 
     def term_counts(self) -> dict[int, int]:
-        return {n: len(t) for n, t in sorted(self.orders.items()) if t}
+        return {n: len(c) for n, c in sorted(self.coeffs.items())}
 
-    def factor_values(self, name: str, omega: np.ndarray) -> np.ndarray:
-        if name == UNITY:
-            return np.ones_like(np.asarray(omega, dtype=float),
-                                dtype=complex)
-        return self.atoms[name].measurement_transfer(omega)
+    def slot_table(self, omega) -> np.ndarray:
+        """Values exp(-i d_v w) * factor_v(w) of every vocabulary entry v at
+        the 1-D frequencies ``omega``; shape (V, len(omega))."""
+        w = np.asarray(omega, dtype=float)
+        table = np.exp(-1j * np.multiply.outer(self.slot_delays, w))
+        for name in set(self.slot_factors) - {UNITY}:
+            rows = [v for v, f in enumerate(self.slot_factors) if f == name]
+            table[rows] *= self.atoms[name].measurement_transfer(w)
+        return table
+
+    def slot_trie(self, order: int) -> SlotTrie:
+        """Prefix regrouping of the order-``order`` terms (see SlotTrie)."""
+        ids = self.slot_ids[order]
+        vocab = len(self.slot_delays)
+        prefix_of = np.zeros(len(ids), dtype=np.intp)
+        levels = []
+        for j in range(order - 1):
+            prefixes, prefix_of = np.unique(prefix_of * vocab + ids[:, j],
+                                            return_inverse=True)
+            levels.append((prefixes // vocab, prefixes % vocab))
+        num_prefixes = len(levels[-1][0]) if levels else 1
+        weights = np.bincount(prefix_of * vocab + ids[:, -1],
+                              weights=self.coeffs[order],
+                              minlength=num_prefixes * vocab)
+        return SlotTrie(tuple(levels), weights.reshape(num_prefixes, vocab))
 
     def evaluate(self, order: int, omegas) -> np.ndarray | complex:
         """Evaluate H_order at frequency tuples (broadcast over arrays)."""
@@ -243,27 +383,30 @@ class Gfrf:
         if np.isscalar(omegas) or (isinstance(omegas, np.ndarray)
                                    and order == 1):
             omegas = (omegas,)
-        ws = [np.asarray(w, dtype=float) for w in np.broadcast_arrays(
-            *[np.asarray(w, dtype=float) for w in omegas])]
+        ws = np.broadcast_arrays(*[np.asarray(w, dtype=float)
+                                   for w in omegas])
         if len(ws) != order:
             raise BadRange(f"order {order} needs {order} frequency axes")
-        scalar = ws[0].ndim == 0
-        shape = ws[0].shape
-        acc = np.zeros(shape, dtype=complex)
-        for term in self.orders.get(order, []):
-            val = np.full(shape, term.coeff, dtype=complex)
-            for d, fac, w in zip(term.delays, term.factors, ws):
-                val = val * np.exp(-1j * d * w)
-                if fac != UNITY:
-                    val = val * self.factor_values(fac, w)
-            acc += val
-        return complex(acc) if scalar else acc
+        out = np.zeros(ws[0].size, dtype=complex)
+        if order in self.coeffs:
+            trie = self.slot_trie(order)
+            flat = [w.ravel() for w in ws]
+            for s in range(0, out.size, EVAL_BLOCK):
+                tables = []
+                for w in flat:
+                    # grids repeat frequencies along each axis: one table
+                    # column per distinct value
+                    values, where = np.unique(w[s: s + EVAL_BLOCK],
+                                              return_inverse=True)
+                    tables.append(np.take(self.slot_table(values), where,
+                                          axis=1))
+                out[s: s + EVAL_BLOCK] = trie.contract(tables, np.multiply)
+        return complex(out[0]) if ws[0].ndim == 0 else \
+            out.reshape(ws[0].shape)
 
     def to_json(self) -> dict:
         orders = {}
         for n, terms in sorted(self.orders.items()):
-            if not terms:
-                continue
             orders[str(n)] = [
                 {"coeff": t.coeff, "delays": list(t.delays),
                  "factors": [f if f == UNITY else f"atom:{f}"
@@ -287,14 +430,6 @@ class Gfrf:
                                        factors))
             orders[n] = parsed
         return cls(float(data.get("h0", 0.0)), orders, dict(atoms or {}))
-
-
-def evaluate_gfrf(g: Gfrf, order: int, omegas) -> np.ndarray | complex:
-    return g.evaluate(order, omegas)
-
-
-def zero_gfrf() -> Gfrf:
-    return Gfrf()
 
 
 # ---------------------------------------------------------------------------
@@ -343,21 +478,33 @@ def poly_delay_to_gfrf(p: PolyDelayOperator) -> Gfrf:
 # Least-squares fitting
 # ---------------------------------------------------------------------------
 
+FEATURE_ROWS = 512     # sample rows per block of polynomial features
+
+
 def polynomial_features(sampled: np.ndarray,
                         exponents: list[tuple[int, ...]]) -> np.ndarray:
-    """Monomial features of delayed samples, one column per exponent vector."""
+    """Monomial features of delayed samples, one column per exponent vector.
+
+    Column c is the product over delays j, taken left to right, of
+    ``sampled[:, j] ** exponents[c][j]`` by repeated multiplication, with
+    zero exponents skipped.  Rows go in blocks of FEATURE_ROWS, laid out
+    columns-first so each delay's gather and product run over whole rows.
+    """
     rows, num_delays = sampled.shape
-    degree = max(sum(r) for r in exponents)
-    powers = np.ones((degree + 1, rows, num_delays))
-    for k in range(1, degree + 1):
-        powers[k] = powers[k - 1] * sampled
-    feats = np.empty((rows, len(exponents)))
-    for ci, r in enumerate(exponents):
-        col = np.ones(rows)
-        for j, r_j in enumerate(r):
-            if r_j:
-                col = col * powers[r_j, :, j]
-        feats[:, ci] = col
+    exps = np.asarray(exponents)
+    degree = int(exps.sum(axis=1).max())
+    # per delay, the columns with a nonzero exponent on it
+    uses = [(j, np.flatnonzero(exps[:, j])) for j in range(num_delays)]
+    feats = np.empty((rows, len(exps)))
+    for s in range(0, rows, FEATURE_ROWS):
+        x = sampled[s: s + FEATURE_ROWS].T
+        powers = np.ones((degree + 1,) + x.shape)
+        for k in range(1, degree + 1):
+            powers[k] = powers[k - 1] * x
+        block = np.ones((len(exps), x.shape[1]))
+        for j, cols in uses:
+            block[cols] *= powers[exps[cols, j], j]
+        feats[s: s + FEATURE_ROWS] = block.T
     return feats
 
 

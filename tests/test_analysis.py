@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bbstl.analysis import (
     compression_safety_report,
-    cutoff_frequency,
     cutoff_scan,
     gfrf_grid,
     output_spectrum,
@@ -27,6 +27,7 @@ from bbstl.volterra import (
 )
 
 from conftest import DT, compression_signal, tapered_mix
+from gfrf_reference import random_gfrf, reference_output_spectrum
 
 
 class TestOutputSpectrum:
@@ -97,6 +98,19 @@ class TestOutputSpectrum:
         assert err < 1e-6
 
 
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2 ** 32 - 1), max_order=st.integers(1, 4))
+    def test_matches_term_by_term_convolutions(self, seed, max_order):
+        rng = np.random.default_rng(seed)
+        atoms = {"p": make_gaussian_kernel(0.05, 0.04, 0.2, DT)}
+        g = random_gfrf(rng, atoms, max_order=4, max_terms=6)
+        x = Signal(0.0, DT, rng.normal(size=int(rng.integers(64, 300))))
+        spec = fft(x)
+        got = output_spectrum(g, spec, max_order).bins
+        want, scale = reference_output_spectrum(g, spec, max_order)
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
 class TestGfrfGrid:
     def test_negation_grid_constant(self):
         grid = gfrf_grid(negation_volterra(), 1, 10.0, 33)
@@ -145,13 +159,13 @@ class TestCutoff:
 
     def test_threshold_above_peak_gives_zero(self, g_narrow):
         g, _ = atom_volterra(g_narrow, "g")
-        assert cutoff_frequency(g, 1.5, 20.0, 41, max_order=1) == 0.0
+        assert cutoff_scan(g, 1.5, 20.0, 41, max_order=1).omega_star == 0.0
 
     def test_monotone_in_threshold(self, kernel_table):
         phi = parse_formula("once[0.2,0.4] p")
         built = build_formula_operator(phi, kernel_table, FitConfig())
-        cuts = [cutoff_frequency(built.gfrf, thr, 8 * math.pi, 33,
-                                 max_order=1)
+        cuts = [cutoff_scan(built.gfrf, thr, 8 * math.pi, 33,
+                            max_order=1).omega_star
                 for thr in (0.3, 0.5, 0.76, 1.0)]
         assert all(cuts[i] >= cuts[i + 1] - 1e-12 for i in range(len(cuts) - 1))
 
@@ -159,7 +173,7 @@ class TestCutoff:
         g, _ = atom_volterra(g_narrow, "g")
         # |H1| = exp(-(s w)^2 / 2) crosses 0.1 at w = sqrt(2 ln 10)/s
         want = math.sqrt(2 * math.log(10)) / 0.04
-        got = cutoff_frequency(g, 0.1, 80.0, 641, max_order=1)
+        got = cutoff_scan(g, 0.1, 80.0, 641, max_order=1).omega_star
         assert abs(got - want) <= 80.0 / 640 + 1e-9
 
     def test_window_max_formula_cutoff_near_1_5_hz(self, kernel_table):

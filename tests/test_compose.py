@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bbstl.compose import (
     build_formula_operator,
@@ -9,6 +10,7 @@ from bbstl.compose import (
     compose_gfrf,
     compositions,
     formula_to_gfrf,
+    merge_terms,
     prune_gfrf,
     since_sampled_gfrf,
     sum_gfrf,
@@ -23,9 +25,17 @@ from bbstl.errors import (
     UnknownAtom,
 )
 from bbstl.logic import Atom, Interval, parse_formula
+from bbstl.signals import make_gaussian_kernel
 from bbstl.volterra import UNITY, FitConfig, Gfrf, GfrfTerm, atom_volterra
 
 from conftest import DT
+from gfrf_reference import (
+    assert_same_terms,
+    random_gfrf,
+    reference_compose,
+    reference_evaluate,
+    reference_merge,
+)
 
 FAST = FitConfig(num_signals=12, times_per_signal=24, duration=8.0,
                  num_delays=4, degree=3)
@@ -37,21 +47,24 @@ def positive_compositions_oracle(n, k):
                   if sum(c) == n and all(m >= 1 for m in c))
 
 
-def random_delta_train(rng, max_order, terms_per_order=3):
+def random_delta_train(rng, max_order, terms_per_order=3, atoms=None):
+    """Random response; with ``atoms`` its slots also draw factors."""
+    names = [UNITY] + sorted(atoms or {})
     orders = {}
     for n in range(1, max_order + 1):
         orders[n] = [
             GfrfTerm(float(rng.normal()),
                      tuple(float(d) for d in rng.uniform(0, 0.5, size=n)),
-                     (UNITY,) * n)
+                     (UNITY,) * n if atoms is None else
+                     tuple(names[i] for i in rng.integers(len(names), size=n)))
             for _ in range(int(rng.integers(1, terms_per_order + 1)))
         ]
-    return Gfrf(0.0, orders)
+    return Gfrf(0.0, orders, atoms)
 
 
 def theorem_composition_value(outer, inner, n, omegas):
     """Direct evaluation of the composition sum, built independently:
-    explicit mixing matrices, pointwise evaluation of both responses."""
+    explicit mixing matrices, term-by-term evaluation of both responses."""
     omegas = np.asarray(omegas, dtype=float)
     total = 0.0 + 0.0j
     max_k = max(outer.orders)
@@ -66,10 +79,10 @@ def theorem_composition_value(outer, inner, n, omegas):
                 s_matrix[j, start: start + m] = 1.0
                 blocks.append(omegas[start: start + m])
                 start += m
-            outer_val = outer.evaluate(k, list(s_matrix @ omegas))
+            outer_val = reference_evaluate(outer, k, list(s_matrix @ omegas))
             prod = outer_val
             for j, m in enumerate(parts):
-                prod = prod * inner.evaluate(m, list(blocks[j]))
+                prod = prod * reference_evaluate(inner, m, list(blocks[j]))
             total += prod
     return total
 
@@ -161,6 +174,21 @@ class TestComposeGfrf:
         for trial in range(6):
             outer = random_delta_train(rng, 3)
             inner = random_delta_train(rng, 3)
+            composed = compose_gfrf(outer, inner, max_order=3)
+            for _ in range(30):
+                n = int(rng.integers(1, 4))
+                w = rng.uniform(-10, 10, size=n)
+                got = composed.evaluate(n, list(w))
+                ref = theorem_composition_value(outer, inner, n, w)
+                assert abs(got - ref) <= 1e-10
+
+    def test_matches_direct_theorem_evaluation_with_atom_factors(
+            self, g_narrow, g_wide):
+        rng = np.random.default_rng(124)
+        atoms = {"p": g_narrow, "q": g_wide}
+        for trial in range(6):
+            outer = random_delta_train(rng, 3)
+            inner = random_delta_train(rng, 3, atoms=atoms)
             composed = compose_gfrf(outer, inner, max_order=3)
             for _ in range(30):
                 n = int(rng.integers(1, 4))
@@ -323,3 +351,35 @@ class TestSymmetrize:
             assert abs(got - avg) < 1e-12
             swapped = list(w[::-1])
             assert abs(sym.evaluate(n, swapped) - got) < 1e-12
+
+
+ATOMS = {"p": make_gaussian_kernel(0.05, 0.04, 0.2, DT),
+         "q": make_gaussian_kernel(0.0, 0.08, 0.4, DT)}
+
+
+class TestAgainstTermByTermReference:
+    """The array algebra reproduces the term-by-term merge and expansion
+    term for term: same count, order, factors and exact delays."""
+
+    @settings(max_examples=120)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_merge_terms(self, seed):
+        g = random_gfrf(np.random.default_rng(seed), ATOMS)
+        assert_same_terms(merge_terms(g), reference_merge(g))
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_compose_gfrf(self, seed):
+        rng = np.random.default_rng(seed)
+        outer = random_gfrf(rng, {}, max_terms=4)
+        inner = random_gfrf(rng, ATOMS, max_terms=5)
+        assert_same_terms(compose_gfrf(outer, inner, 3),
+                          reference_compose(outer, inner, 3))
+
+    def test_near_equal_delays_merge_to_first_occurrence(self):
+        g = Gfrf(0.0, {1: [GfrfTerm(0.5, (0.3,), (UNITY,)),
+                           GfrfTerm(0.25, (0.1 + 0.2,), (UNITY,)),
+                           GfrfTerm(1.0, (0.3 + 2e-12,), (UNITY,))]})
+        merged = merge_terms(g).orders[1]
+        assert [(t.coeff, t.delays) for t in merged] == \
+            [(0.75, (0.3,)), (1.0, (0.3 + 2e-12,))]

@@ -2,16 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bbstl.errors import BadRange, UnderdeterminedSystem
 from bbstl.logic import Interval
-from bbstl.signals import make_gaussian_kernel, sum_of_sinusoids
+from bbstl.signals import (
+    Signal,
+    make_gaussian_kernel,
+    sum_of_sinusoids,
+    table_kernel,
+)
 from bbstl.volterra import (
+    EVAL_BLOCK,
     FitConfig,
     MemorylessPoly,
     apply_pipeline,
     atom_volterra,
-    evaluate_gfrf,
     exponent_vectors,
     fit_poly_delay,
     fit_separable_minmax,
@@ -21,6 +27,7 @@ from bbstl.volterra import (
 )
 
 from conftest import DT
+from gfrf_reference import random_gfrf, reference_evaluate
 
 CFG = FitConfig()
 FAST = FitConfig(num_signals=12, times_per_signal=24, duration=8.0,
@@ -174,6 +181,26 @@ class TestFitPolyDelay:
             res.append(fit.diagnostics.rms_residual)
         assert res[0] >= res[1] - 1e-10 >= res[2] - 2e-10
 
+    def test_features_equal_column_loop(self):
+        # reference: one column per exponent vector, the delayed samples'
+        # powers multiplied in left to right, zero exponents skipped
+        from bbstl.volterra import polynomial_features
+        sampled = np.random.default_rng(4).uniform(-1.5, 1.5, (300, 6))
+        exps = exponent_vectors(6, 4)
+        powers = [np.ones_like(sampled)]
+        for _ in range(4):
+            powers.append(powers[-1] * sampled)
+        want = np.empty((300, len(exps)))
+        for c, r in enumerate(exps):
+            col = np.ones(300)
+            for j, r_j in enumerate(r):
+                if r_j:
+                    col = col * powers[r_j][:, j]
+            want[:, c] = col
+        got = polynomial_features(sampled, exps)
+        assert np.array_equal(got, want)
+        assert got.flags.c_contiguous
+
     def test_batched_features_equal_per_signal_loop(self):
         # the fit builds its design matrix with one feature call over all
         # training rows; a call per signal must give the same bits
@@ -285,13 +312,13 @@ class TestEvaluateGfrf:
     def test_delay_phase(self):
         from bbstl.volterra import Gfrf, GfrfTerm, UNITY
         g = Gfrf(0.0, {1: [GfrfTerm(1.0, (0.3,), (UNITY,))]})
-        val = evaluate_gfrf(g, 1, [math.pi])
+        val = g.evaluate(1, [math.pi])
         assert abs(val - np.exp(-1j * 0.3 * math.pi)) < 1e-15
         assert abs(abs(val) - 1.0) < 1e-15
 
     def test_absent_order_is_zero(self, g_narrow):
         g, _ = atom_volterra(g_narrow, "g")
-        assert evaluate_gfrf(g, 3, [1.0, 2.0, 3.0]) == 0
+        assert g.evaluate(3, [1.0, 2.0, 3.0]) == 0
 
     def test_json_roundtrip(self, g_narrow):
         g, _ = atom_volterra(g_narrow, "g")
@@ -300,3 +327,30 @@ class TestEvaluateGfrf:
         back = Gfrf.from_json(data, atoms=g.atoms)
         w = np.linspace(0, 10, 5)
         assert np.allclose(back.evaluate(1, [w]), g.evaluate(1, [w]))
+
+
+# a closed-form Gaussian transfer and a sampled (table) one
+ATOMS = {"p": make_gaussian_kernel(0.05, 0.04, 0.2, DT),
+         "t": table_kernel(Signal(-DT, DT, np.array([0.25, 0.5, 0.25]) / DT))}
+
+
+class TestSlotTableEvaluate:
+    @settings(max_examples=90)
+    @given(seed=st.integers(0, 2 ** 32 - 1), order=st.integers(1, 3),
+           layout=st.sampled_from(["scalar", "line", "mesh"]))
+    def test_matches_term_by_term_reference(self, seed, order, layout):
+        rng = np.random.default_rng(seed)
+        g = random_gfrf(rng, ATOMS)
+        if layout == "scalar":
+            omegas = [float(w) for w in rng.uniform(-30.0, 30.0, order)]
+        elif layout == "line":
+            omegas = list(rng.uniform(-30.0, 30.0, (order, EVAL_BLOCK + 44)))
+        else:
+            axis = np.linspace(-30.0, 30.0, {1: 1100, 2: 40, 3: 11}[order])
+            omegas = np.meshgrid(*([axis] * order), indexing="ij")
+        got = g.evaluate(order, omegas)
+        want = reference_evaluate(g, order, omegas)
+        assert np.shape(got) == want.shape
+        assert layout == "scalar" or want.size > EVAL_BLOCK
+        l1 = sum(abs(t.coeff) for t in g.orders[order])
+        assert np.max(np.abs(got - want)) <= 1e-12 * l1
