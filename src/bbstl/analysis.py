@@ -14,12 +14,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import BadRange, GridTooLarge, OrderTooHigh
 from .logic import Formula, KernelTable
 from .monitor import RobustnessSignal, robustness
-from .signals import Signal, Spectrum, lowpass
+from .signals import Signal, Spectrum, complex_columns, lowpass, write_csv
 from .volterra import Gfrf
 
 MAX_SPECTRUM_ORDER = 4
@@ -59,8 +58,7 @@ def output_spectrum(g: Gfrf, spec: Spectrum,
     weight = spec.domega / (2 * math.pi)
 
     def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        full = fftconvolve(a, b, axes=1)
-        return full[:, zero_idx: zero_idx + n_bins] * weight
+        return _window_convolve(a, b, zero_idx) * weight
 
     slots = g.slot_table(spec.omegas) * spec.bins
     out = np.zeros(n_bins, dtype=complex)
@@ -68,6 +66,39 @@ def output_spectrum(g: Gfrf, spec: Spectrum,
         if order <= max_order:
             out += g.slot_trie(order).contract([slots] * order, convolve)
     return Spectrum(spec.omega0, spec.domega, out, t0=spec.t0)
+
+
+def _window_convolve(a: np.ndarray, b: np.ndarray,
+                     start: int) -> np.ndarray:
+    """Bins [start, start + P) of the row-by-row linear convolution of two
+    (rows, P) arrays.
+
+    The full convolution has 2P - 1 bins.  A circular one of size S wraps
+    bin k + S onto bin k, so S >= 2P - 1 - start leaves the kept bins
+    alias-free and S >= start + P keeps them in range; S is the smallest
+    5-smooth size meeting both.
+    """
+    p = a.shape[1]
+    size = _smooth_size(max(2 * p - 1 - start, start + p))
+    full = np.fft.ifft(np.fft.fft(a, size, axis=1)
+                       * np.fft.fft(b, size, axis=1), axis=1)
+    return full[:, start: start + p]
+
+
+def _smooth_size(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= n, a length the FFT handles fast."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def gfrf_grid(g: Gfrf, order: int, omega_max: float, num_points: int,
@@ -134,13 +165,9 @@ def cutoff_scan(g: Gfrf, threshold: float, omega_max: float,
             other = tuple(ax for ax in range(order) if ax != slot)
             profile = mag.max(axis=other) if other else mag
             envelope = np.maximum(envelope, profile)
-    below = envelope < threshold
-    # smallest index i with below[i:] all true
-    idx = num_points
-    for i in range(num_points - 1, -1, -1):
-        if not below[i]:
-            break
-        idx = i
+    # smallest index i with envelope[i:] all below threshold (NaN is not)
+    not_below = np.flatnonzero(~(envelope < threshold))
+    idx = int(not_below[-1]) + 1 if not_below.size else 0
     if idx == num_points:
         return CutoffScan(omega_max, False, threshold, axis, envelope)
     return CutoffScan(float(axis[idx]), True, threshold, axis, envelope)
@@ -222,14 +249,7 @@ def compression_safety_report(phi: Formula, x: Signal, cutoff: float,
 
 def save_grid_csv(grid: GfrfGrid, path) -> None:
     """CSV export: omega1[,omega2[,omega3]],re,im,abs."""
-    import csv
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        axes = [f"omega{i + 1}" for i in range(grid.order)]
-        writer.writerow(axes + ["re", "im", "abs"])
-        it = np.ndindex(*grid.values.shape)
-        for idx in it:
-            z = grid.values[idx]
-            row = [repr(float(grid.axis[i])) for i in idx]
-            writer.writerow(row + [repr(float(z.real)), repr(float(z.imag)),
-                                   repr(float(abs(z)))])
+    mesh = np.meshgrid(*([grid.axis] * grid.order), indexing="ij")
+    write_csv(path, [f"omega{i + 1}" for i in range(grid.order)]
+              + ["re", "im", "abs"],
+              [w.ravel() for w in mesh] + complex_columns(grid.values.ravel()))

@@ -3,7 +3,7 @@
 The robustness of a formula is computed bottom-up over the AST: atoms are
 kernel correlations, boolean connectives are pointwise min/max, and the
 temporal operators are sliding-window extrema over ``[t-b, t-a]``
-(``scipy.ndimage`` min/max filters, O(N) in C).  ``since`` follows the
+(a sparse-table doubling pass, O(N log W) in numpy).  ``since`` follows the
 bounded recursion max over t' of min(rho2(t'), min over (t', t] of rho1),
 evaluated in O(N) by a block decomposition (Donze, Ferrere and Maler,
 "Efficient Robust Monitoring for STL", CAV 2013).  Every kernel only
@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 from .errors import (
     GridMismatch,
@@ -39,7 +38,7 @@ from .logic import (
     _check_window,
     _window_offsets,
 )
-from .signals import Signal, align_signals, correlate
+from .signals import Signal, align_signals, correlate, write_csv
 
 
 @dataclass(frozen=True)
@@ -127,23 +126,30 @@ def _window_extremum(x: np.ndarray, oa: int, ob: int,
                      mode: str) -> np.ndarray:
     """out[k-ob] = extremum of ``x[k-ob : k-oa+1]`` for k in [ob, len(x)).
 
-    The filter centres a window of ``ob-oa+1`` samples on index
-    ``k-ob + size//2``; only outputs whose window lies wholly inside ``x``
-    are kept, so the filter's boundary mode never reaches the result.
+    Sparse-table doubling: after passes with spans 1, 2, 4, ..., ``y[i]``
+    is the extremum of ``x[i : i+s]`` for the largest power of two ``s``
+    not above the window length ``w``; a window of ``w`` samples is then
+    the extremum of two overlapping spans, ``y[i]`` and ``y[i+w-s]``.
+    That is floor(log2 w) + 1 vectorised passes.
     """
-    size = ob - oa + 1
-    filt = maximum_filter1d if mode == "max" else minimum_filter1d
-    return filt(x, size)[size // 2: size // 2 + len(x) - ob]
+    f = np.maximum if mode == "max" else np.minimum
+    w = ob - oa + 1
+    m = len(x) - ob
+    y, s = x[:len(x) - oa], 1
+    while 2 * s <= w:
+        y = f(y[:-s], y[s:])
+        s *= 2
+    return f(y[:m], y[w - s: w - s + m])
 
 
 def sliding_extremum(u: Signal, interval: Interval | tuple[float, float],
                      mode: str) -> Signal:
     """y(t) = extremum of ``u`` over ``[t-b, t-a]``.
 
-    Uses the ``scipy.ndimage`` min/max filters, O(N) in C whatever the
-    window length.  Produces exactly the same values as a brute-force scan
-    of the window: the filters only select sample values, never combine
-    them.
+    Runs in O(N log W) vectorised numpy work for a window of W samples
+    (see ``_window_extremum``).  Produces exactly the same values as a
+    brute-force scan of the window: min and max only select sample
+    values, never combine them.
     """
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
@@ -270,18 +276,8 @@ def robustness(phi: Formula, x: Signal, kt: KernelTable) -> RobustnessSignal:
 
 
 def save_robustness_csv(rho: RobustnessSignal, path) -> None:
-    import csv
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "rho"])
-        for t, v in zip(rho.times, rho.samples):
-            writer.writerow([repr(float(t)), repr(float(v))])
+    write_csv(path, ["t", "rho"], [rho.times, rho.samples])
 
 
 def save_verdict_csv(rho: RobustnessSignal, path) -> None:
-    import csv
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "sat"])
-        for t, v in zip(rho.times, rho.samples):
-            writer.writerow([repr(float(t)), 1 if v >= 0 else 0])
+    write_csv(path, ["t", "sat"], [rho.times, (rho.samples >= 0).astype(int)])

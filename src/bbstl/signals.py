@@ -437,21 +437,32 @@ def load_signal_csv(path) -> Signal:
     return Signal(float(t[0]), dt, np.asarray(values))
 
 
-def save_signal_csv(x: Signal, path) -> None:
+def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write equal-length columns as CSV, one row per index.
+
+    Values are written as ``repr`` of their Python form (the shortest
+    round-tripping text of a float), in the ``csv`` module's default
+    dialect: comma separated, nothing needing quotes, ``\\r\\n`` line ends.
+    """
+    cols = [map(repr, np.asarray(c).tolist()) for c in columns]
+    lines = [",".join(header)] + [",".join(row) for row in zip(*cols)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "value"])
-        for t, v in zip(x.times, x.samples):
-            writer.writerow([repr(float(t)), repr(float(v))])
+        fh.write("\r\n".join(lines) + "\r\n")
+
+
+def complex_columns(z: np.ndarray) -> list[np.ndarray]:
+    """re, im and abs columns of complex values; abs is ``np.hypot``, which
+    gives the same bits as ``abs`` of a numpy complex scalar."""
+    return [z.real, z.imag, np.hypot(z.real, z.imag)]
+
+
+def save_signal_csv(x: Signal, path) -> None:
+    write_csv(path, ["t", "value"], [x.times, x.samples])
 
 
 def save_spectrum_csv(spec: Spectrum, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["omega", "re", "im", "abs"])
-        for w, z in zip(spec.omegas, spec.bins):
-            writer.writerow([repr(float(w)), repr(float(z.real)),
-                             repr(float(z.imag)), repr(float(abs(z)))])
+    write_csv(path, ["omega", "re", "im", "abs"],
+              [spec.omegas, *complex_columns(spec.bins)])
 
 
 def kernel_from_spec(spec: dict, dt: float, base_dir=".") -> Kernel:

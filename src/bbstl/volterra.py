@@ -273,6 +273,11 @@ def _chunks(length: int, step: int) -> list[slice]:
     return [slice(s, s + step) for s in range(0, length, step)]
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 class Gfrf:
     """Multi-order frequency response as sums of factored exponential terms.
 
@@ -329,10 +334,13 @@ class Gfrf:
             remap[v] = index.setdefault(keys[v], len(index))
         self.h0 = float(h0)
         self.atoms = dict(atoms or {})
-        self.slot_delays = np.array([d for d, _ in index], dtype=float)
+        self.slot_delays = _frozen(np.array([d for d, _ in index],
+                                            dtype=float))
         self.slot_factors = tuple(f for _, f in index)
-        self.coeffs = {n: np.asarray(coeffs[n], dtype=float) for n in live}
-        self.slot_ids = {n: remap[slot_ids[n]] for n in live}
+        self.coeffs = {n: _frozen(np.array(coeffs[n], dtype=float))
+                       for n in live}
+        self.slot_ids = {n: _frozen(remap[slot_ids[n]]) for n in live}
+        self._tries: dict[int, SlotTrie] = {}
 
     @property
     def orders(self) -> dict[int, list[GfrfTerm]]:
@@ -361,7 +369,14 @@ class Gfrf:
         return table
 
     def slot_trie(self, order: int) -> SlotTrie:
-        """Prefix regrouping of the order-``order`` terms (see SlotTrie)."""
+        """Prefix regrouping of the order-``order`` terms (see SlotTrie),
+        built on first use and kept; the stored arrays are read-only, so
+        it cannot go stale."""
+        if order not in self._tries:
+            self._tries[order] = self._build_trie(order)
+        return self._tries[order]
+
+    def _build_trie(self, order: int) -> SlotTrie:
         ids = self.slot_ids[order]
         vocab = len(self.slot_delays)
         prefix_of = np.zeros(len(ids), dtype=np.intp)

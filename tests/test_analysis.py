@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bbstl.analysis import (
+    _smooth_size,
+    _window_convolve,
     compression_safety_report,
     cutoff_scan,
     gfrf_grid,
@@ -111,6 +113,51 @@ class TestOutputSpectrum:
         assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
+def _prime_factors(m):
+    out, p = [], 2
+    while p * p <= m:
+        while m % p == 0:
+            out.append(p)
+            m //= p
+        p += 1
+    return out + ([m] if m > 1 else [])
+
+
+def alias_free_bound(n_bins, start):
+    return max(2 * n_bins - 1 - start, start + n_bins)
+
+
+class TestWindowConvolve:
+    # even and odd bin counts; for 10, 16, 3, 7, 11 and 67 the alias-free
+    # bound at start = n // 2 is itself 5-smooth, so the transform size
+    # equals the bound exactly
+    SIZES = [1, 2, 3, 7, 9, 10, 11, 14, 16, 31, 67, 100, 257]
+
+    def test_smooth_size_is_the_next_5_smooth_number(self):
+        smooth = [m for m in range(1, 5000)
+                  if set(_prime_factors(m)) <= {2, 3, 5}]
+        for n in range(1, 4000):
+            assert _smooth_size(n) == min(m for m in smooth if m >= n)
+
+    def test_bound_is_used_exactly_when_smooth(self):
+        for n in (3, 7, 10, 11, 16, 67):
+            bound = alias_free_bound(n, n // 2)
+            assert _smooth_size(bound) == bound
+
+    @pytest.mark.parametrize("n_bins", SIZES)
+    def test_rows_match_linear_convolution(self, n_bins):
+        rng = np.random.default_rng(n_bins)
+        a = rng.normal(size=(3, n_bins)) + 1j * rng.normal(size=(3, n_bins))
+        b = rng.normal(size=(3, n_bins)) + 1j * rng.normal(size=(3, n_bins))
+        for start in sorted({0, n_bins // 2, n_bins - 1}):
+            got = _window_convolve(a, b, start)
+            assert got.shape == (3, n_bins)
+            for row in range(3):
+                want = np.convolve(a[row], b[row])[start: start + n_bins]
+                scale = np.abs(a[row]).sum() * np.abs(b[row]).sum()
+                assert np.max(np.abs(got[row] - want)) <= 1e-14 * scale
+
+
 class TestGfrfGrid:
     def test_negation_grid_constant(self):
         grid = gfrf_grid(negation_volterra(), 1, 10.0, 33)
@@ -175,6 +222,24 @@ class TestCutoff:
         want = math.sqrt(2 * math.log(10)) / 0.04
         got = cutoff_scan(g, 0.1, 80.0, 641, max_order=1).omega_star
         assert abs(got - want) <= 80.0 / 640 + 1e-9
+
+    @pytest.mark.parametrize("omega_max", [10.0, 12.0])
+    def test_cutoff_follows_the_last_crossing(self, omega_max):
+        # |1 + exp(-i w)| = 2 |cos(w / 2)| dips under 1 on (2.09, 4.19) and
+        # (8.38, 10.47): only the second dip can hold the cut-off, and at
+        # omega_max = 12 the scan ends above the threshold
+        g = Gfrf(0.0, {1: [GfrfTerm(1.0, (0.0,), (UNITY,)),
+                           GfrfTerm(1.0, (1.0,), (UNITY,))]})
+        scan = cutoff_scan(g, 1.0, omega_max, 97, max_order=1)
+        idx = len(scan.axis)
+        while idx > 0 and scan.envelope[idx - 1] < 1.0:
+            idx -= 1
+        assert scan.found == (idx < len(scan.axis))
+        assert scan.omega_star == (scan.axis[idx] if scan.found
+                                   else omega_max)
+        assert scan.found == (omega_max == 10.0)
+        if scan.found:
+            assert 8.3 < scan.omega_star < 8.6
 
     def test_window_max_formula_cutoff_near_1_5_hz(self, kernel_table):
         # documented reproduction setting: first-order scan over [0, 8*pi]

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bbstl
 from bbstl.cli import main
 from bbstl.signals import Signal, save_signal_csv
 
@@ -236,3 +241,17 @@ class TestProjectConfig:
         code = main(["monitor", "p", str(workdir / "const.csv"),
                      "--config", str(workdir / "bad.json")])
         assert code == 1
+
+
+class TestImportGraph:
+    def test_package_and_cli_load_no_scipy(self):
+        src = str(Path(bbstl.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import json, sys, bbstl, bbstl.cli; "
+                "print(json.dumps(sorted(sys.modules)))")
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        modules = json.loads(run.stdout)
+        assert "bbstl.cli" in modules
+        assert [m for m in modules
+                if m == "scipy" or m.startswith("scipy.")] == []

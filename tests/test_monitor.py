@@ -219,6 +219,48 @@ class TestPropertiesAgainstBruteForce:
         assert np.array_equal(fast.samples, slow.samples)
 
 
+def doubling_windows(n):
+    """(oa, ob) sample windows at the doubling kernel's edges: lengths 1,
+    2^k - 1, 2^k and 2^k + 1, starting at 0 and past 0, and the longest
+    windows (ob = n - 2)."""
+    lengths = sorted({1} | {2 ** k + d for k in range(1, 8)
+                            for d in (-1, 0, 1)})
+    cases = [(oa, oa + w - 1) for w in lengths for oa in (0, 3)
+             if oa + w - 1 <= n - 2]
+    return cases + [(0, n - 2), (5, n - 2), (n - 2, n - 2)]
+
+
+def tied_signal(n, seed):
+    """Small integers (many ties) with runs of +-inf."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-2, 3, size=n).astype(float)
+    x[rng.integers(0, n, size=n // 10)] = np.inf
+    x[rng.integers(0, n, size=n // 10)] = -np.inf
+    x[40:45] = np.inf
+    return Signal(0.0, DT, x)
+
+
+class TestDoublingKernelEdges:
+    N = 150
+
+    @pytest.mark.parametrize("mode", ["min", "max"])
+    def test_sliding_extremum(self, mode):
+        for oa, ob in doubling_windows(self.N):
+            u = tied_signal(self.N, oa * 1000 + ob)
+            fast = sliding_extremum(u, Interval(oa * DT, ob * DT), mode)
+            slow = brute_sliding(u, (oa * DT, ob * DT), mode)
+            assert fast.t0 == slow.t0, (oa, ob)
+            assert np.array_equal(fast.samples, slow.samples), (oa, ob)
+
+    def test_since_robustness(self):
+        for oa, ob in doubling_windows(self.N):
+            rho1 = tied_signal(self.N, oa * 1000 + ob)
+            rho2 = tied_signal(self.N, oa * 1000 + ob + 1)
+            fast = since_robustness(rho1, rho2, Interval(oa * DT, ob * DT))
+            slow = brute_since(rho1, rho2, (oa * DT, ob * DT))
+            assert np.array_equal(fast.samples, slow.samples), (oa, ob)
+
+
 FORMULAS = [
     "p",
     "not p",

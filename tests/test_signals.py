@@ -15,6 +15,7 @@ from bbstl.errors import (
 )
 from bbstl.signals import (
     Signal,
+    Spectrum,
     correlate,
     default_metric_dictionary,
     fft,
@@ -310,6 +311,62 @@ class TestFileFormats:
         path = tmp_path / "spec.csv"
         save_spectrum_csv(fft(x), path)
         assert path.read_text().splitlines()[0] == "omega,re,im,abs"
+
+    def test_writers_match_csv_module_bytes(self, tmp_path):
+        # the bulk writers against the csv.writer rows they replace
+        import csv
+        import io
+
+        from bbstl.analysis import GfrfGrid, save_grid_csv
+        from bbstl.monitor import (
+            RobustnessSignal,
+            save_robustness_csv,
+            save_verdict_csv,
+        )
+
+        def csv_module_bytes(header, rows):
+            buf = io.StringIO(newline="")
+            csv.writer(buf).writerows([header] + rows)
+            return buf.getvalue().encode()
+
+        def complex_row(v):
+            return [repr(float(v.real)), repr(float(v.imag)),
+                    repr(float(abs(v)))]
+
+        rng = np.random.default_rng(4)
+        special = [np.inf, -np.inf, -0.0, 0.0, 5e-324, -1e-310, 2.5e-320,
+                   2.2250738585072014e-308, 0.1 + 0.2, 1 / 3, -7.0, 1e300]
+        x = np.concatenate([special, rng.normal(size=300)
+                            * 10.0 ** rng.integers(-30, 30, size=300)])
+        z = np.empty(len(x), dtype=complex)
+        z.real, z.imag = x, np.roll(x, 5)[::-1]
+        sig = Signal(-0.25, DT, x)
+        rho = RobustnessSignal(sig)
+        t = [repr(float(t)) for t in sig.times]
+        cases = [
+            (lambda p: save_signal_csv(sig, p), ["t", "value"],
+             [[a, repr(float(v))] for a, v in zip(t, x)]),
+            (lambda p: save_robustness_csv(rho, p), ["t", "rho"],
+             [[a, repr(float(v))] for a, v in zip(t, x)]),
+            (lambda p: save_verdict_csv(rho, p), ["t", "sat"],
+             [[a, 1 if v >= 0 else 0] for a, v in zip(t, x)]),
+            (lambda p: save_spectrum_csv(Spectrum(sig.t0, sig.dt, z), p),
+             ["omega", "re", "im", "abs"],
+             [[a] + complex_row(v) for a, v in zip(t, z)]),
+        ]
+        for grid in (GfrfGrid(1, x[:60], z[:60]),
+                     GfrfGrid(2, x[:15], z[:225].reshape(15, 15))):
+            cases.append((
+                lambda p, grid=grid: save_grid_csv(grid, p),
+                [f"omega{i + 1}" for i in range(grid.order)]
+                + ["re", "im", "abs"],
+                [[repr(float(grid.axis[i])) for i in idx]
+                 + complex_row(grid.values[idx])
+                 for idx in np.ndindex(*grid.values.shape)]))
+        for k, (write, header, rows) in enumerate(cases):
+            path = tmp_path / f"{k}.csv"
+            write(path)
+            assert path.read_bytes() == csv_module_bytes(header, rows), k
 
     def test_kernel_from_spec(self, tmp_path):
         g = kernel_from_spec({"type": "gaussian", "mean": 0.0, "std": 0.05,

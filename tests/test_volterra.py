@@ -14,7 +14,9 @@ from bbstl.signals import (
 )
 from bbstl.volterra import (
     EVAL_BLOCK,
+    UNITY,
     FitConfig,
+    Gfrf,
     MemorylessPoly,
     apply_pipeline,
     atom_volterra,
@@ -354,3 +356,41 @@ class TestSlotTableEvaluate:
         assert layout == "scalar" or want.size > EVAL_BLOCK
         l1 = sum(abs(t.coeff) for t in g.orders[order])
         assert np.max(np.abs(got - want)) <= 1e-12 * l1
+
+
+class TestSlotTrieCache:
+    def test_second_evaluate_reuses_the_trie(self, monkeypatch):
+        g = random_gfrf(np.random.default_rng(8), ATOMS)
+        built = []
+        build = Gfrf._build_trie
+        monkeypatch.setattr(Gfrf, "_build_trie",
+                            lambda self, n: built.append(n) or build(self, n))
+        axis = np.linspace(-5.0, 5.0, 7)
+        mesh = np.meshgrid(axis, axis, axis, indexing="ij")
+        first = g.evaluate(3, mesh)
+        trie = g.slot_trie(3)
+        second = g.evaluate(3, mesh)
+        assert built == [3]
+        assert g.slot_trie(3) is trie
+        assert np.array_equal(first, second)
+
+    def test_stored_arrays_are_read_only(self):
+        g = random_gfrf(np.random.default_rng(9), ATOMS)
+        g.evaluate(2, (1.0, 2.0))
+        for arr in (g.coeffs[2], g.slot_ids[2], g.slot_delays):
+            with pytest.raises(ValueError):
+                arr[0] = arr[0] + 1
+            with pytest.raises(ValueError):
+                arr += 1
+
+    def test_from_slots_leaves_caller_arrays_writable(self):
+        delays = np.array([0.0, 0.1])
+        coeffs = {1: np.array([1.0, 2.0])}
+        ids = {1: np.array([[0], [1]])}
+        g = Gfrf.from_slots(0.0, delays, (UNITY, UNITY), coeffs, ids)
+        coeffs[1][0] = 5.0
+        ids[1][0, 0] = 1
+        delays[0] = 0.3
+        assert g.coeffs[1].tolist() == [1.0, 2.0]
+        assert g.slot_ids[1].tolist() == [[0], [1]]
+        assert g.slot_delays.tolist() == [0.0, 0.1]
