@@ -103,19 +103,22 @@ def _smooth_size(n: int) -> int:
 
 def gfrf_grid(g: Gfrf, order: int, omega_max: float, num_points: int,
               budget: int = 10 ** 7) -> GfrfGrid:
-    """Evaluate |H_order| on the dense grid [0, omega_max]^order."""
+    """Complex H_order on the dense grid [0, omega_max]^order, contracted on
+    the tensor grid (``Gfrf.grid``); ``budget`` caps num_points ** order."""
     if order < 1 or order > MAX_GRID_ORDER:
         raise OrderTooHigh(
             f"dense grids support orders 1..{MAX_GRID_ORDER}, got {order}")
+    _check_points(num_points, order, budget)
+    axis = np.linspace(0.0, omega_max, num_points)
+    return GfrfGrid(order, axis, g.grid(order, axis))
+
+
+def _check_points(num_points: int, order: int, budget: int) -> None:
     if num_points < 2:
         raise BadRange("grid needs at least two points")
     if num_points ** order > budget:
         raise GridTooLarge(
             f"{num_points}^{order} exceeds the evaluation budget {budget}")
-    axis = np.linspace(0.0, omega_max, num_points)
-    mesh = np.meshgrid(*([axis] * order), indexing="ij")
-    values = g.evaluate(order, mesh)
-    return GfrfGrid(order, axis, np.asarray(values))
 
 
 @dataclass(frozen=True)
@@ -143,24 +146,24 @@ def cutoff_scan(g: Gfrf, threshold: float, omega_max: float,
 
     The profile m(w) maximizes |H_n| over orders n <= max_order, the slot
     holding w, and grid choices of the other n-1 frequencies in
-    [0, omega_max].  When no grid point qualifies, the scan reports
-    omega_max with ``found=False``.
+    [0, omega_max]; each order's grid is contracted on the tensor grid
+    (``Gfrf.grid``).  When no grid point qualifies, the scan reports
+    omega_max with ``found=False``.  ``budget`` caps num_points ** n for
+    every order n <= max_order the response has, and all of them, like
+    ``num_points >= 2``, are checked before any grid is evaluated.
     """
     if threshold <= 0:
         raise BadRange("threshold must be positive")
     if max_order < 1 or max_order > MAX_GRID_ORDER:
         raise OrderTooHigh(
             f"cutoff scan supports orders 1..{MAX_GRID_ORDER}")
+    orders = [n for n in range(1, max_order + 1) if n in g.coeffs]
+    # num_points ** n grows with n, so the highest order checks them all
+    _check_points(num_points, max(orders, default=0), budget)
     axis = np.linspace(0.0, omega_max, num_points)
     envelope = np.zeros(num_points)
-    for order in range(1, max_order + 1):
-        if order not in g.coeffs:
-            continue
-        if num_points ** order > budget:
-            raise GridTooLarge(
-                f"{num_points}^{order} exceeds the evaluation budget")
-        mesh = np.meshgrid(*([axis] * order), indexing="ij")
-        mag = np.abs(np.asarray(g.evaluate(order, mesh)))
+    for order in orders:
+        mag = np.abs(g.grid(order, axis))
         for slot in range(order):
             other = tuple(ax for ax in range(order) if ax != slot)
             profile = mag.max(axis=other) if other else mag

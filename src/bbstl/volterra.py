@@ -238,39 +238,68 @@ class SlotTrie:
 
         ``tables[j]`` holds the values of every vocabulary entry in slot j,
         shape (V, P), C-ordered; ``combine`` is a bilinear row-by-row
-        product of two (rows, P) arrays (pointwise for responses, grid
-        convolution for spectra), applied left to right.  Rows go through
-        it in chunks of CONTRACT_VALUES values, and the last prefix level
-        is folded into the weights chunk by chunk, never held whole.
+        product of two 2-D arrays with equal row counts (pointwise for
+        responses, grid convolution for spectra, outer product for tensor
+        grids), applied left to right.  Rows go through it in chunks whose
+        output holds at most CONTRACT_VALUES values, and the last prefix
+        level is folded into the weights chunk by chunk, never held whole.
         """
         if not self.levels:
             return _real_matmul(self.weights, tables[0])[0]
-        step = max(1, CONTRACT_VALUES // tables[0].shape[1])
 
         def extend(acc, j, rows):
             parent, last = self.levels[j]
             return combine(acc[parent[rows]], tables[j][last[rows]])
 
+        def chunks(length, a, b):
+            # an empty call gives the width of the combine's output rows
+            width = combine(a[:0], b[:0]).shape[1]
+            return _chunks(length, max(1, CONTRACT_VALUES // width))
+
         acc = tables[0][self.levels[0][1]]
         for j in range(1, len(self.levels) - 1):
-            acc = np.concatenate([extend(acc, j, r) for r in
-                                  _chunks(len(self.levels[j][1]), step)])
+            acc = np.concatenate([extend(acc, j, r) for r in chunks(
+                len(self.levels[j][1]), acc, tables[j])])
         # mixed[v] = sum_u weights[u, v] * prefix_u over (n-1)-slot prefixes
-        if len(self.levels) == 1:
+        top = len(self.levels) - 1
+        if top == 0:
             mixed = _real_matmul(self.weights.T, acc)
         else:
-            mixed = sum(_real_matmul(self.weights[r].T,
-                                     extend(acc, len(self.levels) - 1, r))
-                        for r in _chunks(len(self.weights), step))
+            mixed = _accumulate(
+                _real_matmul(self.weights[r].T, extend(acc, top, r))
+                for r in chunks(len(self.weights), acc, tables[top]))
         # combine is bilinear, so summing combine(prefix_u, sum_v
         # weights[u, v] * slot_v) over u equals summing combine(mixed[v],
         # slot_v) over v: V combines, not one per prefix
-        return sum(combine(mixed[r], tables[-1][r]).sum(axis=0)
-                   for r in _chunks(len(mixed), step))
+        return _accumulate(_row_sum(combine(mixed[r], tables[-1][r]))
+                           for r in chunks(len(mixed), mixed, tables[-1]))
 
 
 def _chunks(length: int, step: int) -> list[slice]:
     return [slice(s, s + step) for s in range(0, length, step)]
+
+
+def _accumulate(parts) -> np.ndarray:
+    """Sum of an iterable of fresh arrays, added in place into the first."""
+    parts = iter(parts)
+    total = next(parts)
+    for part in parts:
+        total += part
+        del part        # free it before the next part is computed
+    return total
+
+
+def _row_sum(part: np.ndarray) -> np.ndarray:
+    # a one-row chunk, wider than CONTRACT_VALUES on fine grids, is its own
+    # sum: no copy of the widest array
+    return part[0] if len(part) == 1 else part.sum(axis=0)
+
+
+def _outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-by-row outer product of (rows, Pa) and (rows, Pb) arrays,
+    flattened C-order to (rows, Pa * Pb)."""
+    return (a[:, :, None] * b[:, None, :]).reshape(
+        len(a), a.shape[1] * b.shape[1])
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -409,8 +438,8 @@ class Gfrf:
             for s in range(0, out.size, EVAL_BLOCK):
                 tables = []
                 for w in flat:
-                    # grids repeat frequencies along each axis: one table
-                    # column per distinct value
+                    # a meshgrid repeats frequencies along each axis: one
+                    # table column per distinct value
                     values, where = np.unique(w[s: s + EVAL_BLOCK],
                                               return_inverse=True)
                     tables.append(np.take(self.slot_table(values), where,
@@ -418,6 +447,25 @@ class Gfrf:
                 out[s: s + EVAL_BLOCK] = trie.contract(tables, np.multiply)
         return complex(out[0]) if ws[0].ndim == 0 else \
             out.reshape(ws[0].shape)
+
+    def grid(self, order: int, axis) -> np.ndarray:
+        """H_order on the tensor grid axis x ... x axis, indexed like
+        ``np.meshgrid(..., indexing="ij")``; shape (len(axis),) * order.
+
+        The slot trie is contracted with a row-wise outer product, so a
+        product over slots 1..j is formed once per point of the first j
+        axes, not once per grid point.  Zeros when the response has no
+        order-``order`` terms.
+        """
+        if order < 1:
+            raise BadRange("grid handles orders >= 1 (H_0 is .h0)")
+        axis = np.asarray(axis, dtype=float)
+        shape = (len(axis),) * order
+        if order not in self.coeffs:
+            return np.zeros(shape, dtype=complex)
+        table = self.slot_table(axis)
+        return self.slot_trie(order).contract([table] * order,
+                                              _outer_rows).reshape(shape)
 
     def to_json(self) -> dict:
         orders = {}

@@ -11,7 +11,14 @@ import math
 import numpy as np
 from scipy.signal import fftconvolve
 
+from bbstl.signals import Signal, make_gaussian_kernel, table_kernel
 from bbstl.volterra import UNITY, Gfrf, GfrfTerm
+
+from conftest import DT
+
+# a closed-form Gaussian transfer and a sampled (table) one, for random_gfrf
+ATOMS = {"p": make_gaussian_kernel(0.05, 0.04, 0.2, DT),
+         "t": table_kernel(Signal(-DT, DT, np.array([0.25, 0.5, 0.25]) / DT))}
 
 
 def reference_evaluate(g: Gfrf, order: int, omegas):

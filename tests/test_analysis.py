@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bbstl import volterra
 from bbstl.analysis import (
     _smooth_size,
     _window_convolve,
@@ -14,7 +16,7 @@ from bbstl.analysis import (
     save_grid_csv,
 )
 from bbstl.compose import build_formula_operator
-from bbstl.errors import GridTooLarge, OrderTooHigh
+from bbstl.errors import BadRange, GridTooLarge, OrderTooHigh
 from bbstl.logic import parse_formula
 from bbstl.signals import Signal, fft, make_gaussian_kernel
 from bbstl.volterra import (
@@ -29,7 +31,29 @@ from bbstl.volterra import (
 )
 
 from conftest import DT, compression_signal, tapered_mix
-from gfrf_reference import random_gfrf, reference_output_spectrum
+from gfrf_reference import (
+    ATOMS,
+    random_gfrf,
+    reference_evaluate,
+    reference_output_spectrum,
+)
+
+LARGEST_NESTED = "hist[0,0.3] (once[0,0.2] p and q)"
+
+
+def without_order(g, drop):
+    """``g`` with its order-``drop`` terms removed (``drop=None`` keeps all)."""
+    return Gfrf(g.h0, {n: t for n, t in g.orders.items() if n != drop},
+                g.atoms)
+
+
+def l1(g, order):
+    return float(np.abs(g.coeffs[order]).sum()) if order in g.coeffs else 0.0
+
+
+def reference_grid(g, order, axis):
+    mesh = np.meshgrid(*([axis] * order), indexing="ij")
+    return reference_evaluate(g, order, mesh)
 
 
 class TestOutputSpectrum:
@@ -187,6 +211,47 @@ class TestGfrfGrid:
         with pytest.raises(GridTooLarge):
             gfrf_grid(g, 3, 10.0, 1000)
 
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2 ** 32 - 1), order=st.integers(1, 3),
+           points=st.sampled_from([2, 3, 5, 17]),
+           drop=st.sampled_from([None, 1, 2, 3]))
+    def test_matches_term_by_term_reference(self, seed, order, points, drop):
+        rng = np.random.default_rng(seed)
+        g = without_order(random_gfrf(rng, ATOMS), drop)
+        omega_max = float(rng.uniform(1.0, 40.0))
+        grid = gfrf_grid(g, order, omega_max, points)
+        want = reference_grid(g, order, grid.axis)
+        assert grid.values.shape == want.shape == (points,) * order
+        assert np.max(np.abs(grid.values - want)) <= 1e-12 * l1(g, order)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_row_chunking_leaves_grids_unchanged(self, seed, monkeypatch):
+        g = random_gfrf(np.random.default_rng(seed), ATOMS, max_terms=40)
+        points = 7
+        default = {n: gfrf_grid(g, n, 20.0, points).values for n in g.coeffs}
+        # one row per chunk, then two rows per chunk of the last fold
+        for n in g.coeffs:
+            for values in (1, 2 * points ** n + 1):
+                monkeypatch.setattr(volterra, "CONTRACT_VALUES", values)
+                got = gfrf_grid(g, n, 20.0, points).values
+                assert np.max(np.abs(got - default[n])) <= 1e-15 * l1(g, n)
+
+    def test_order3_grid_memory(self, kernel_table):
+        g = build_formula_operator(parse_formula(LARGEST_NESTED), kernel_table,
+                                   FitConfig(max_order=3)).gfrf
+        g.slot_trie(3)
+        points = 33
+        tracemalloc.start()
+        try:
+            gfrf_grid(g, 3, 8 * math.pi, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # output + the folded prefixes (V, P^2) + a few row chunks
+        bound = (points ** 3 + len(g.slot_delays) * points ** 2
+                 + 8 * volterra.CONTRACT_VALUES)
+        assert peak < bound * np.dtype(complex).itemsize
+
     def test_csv_export(self, tmp_path, g_narrow):
         g, _ = atom_volterra(g_narrow, "g")
         grid = gfrf_grid(g, 1, 5.0, 9)
@@ -240,6 +305,48 @@ class TestCutoff:
         assert scan.found == (omega_max == 10.0)
         if scan.found:
             assert 8.3 < scan.omega_star < 8.6
+
+    @settings(max_examples=30)
+    @given(seed=st.integers(0, 2 ** 32 - 1), max_order=st.integers(1, 3),
+           points=st.sampled_from([2, 3, 5, 17]),
+           drop=st.sampled_from([None, 1, 2, 3]))
+    def test_envelope_matches_term_by_term_grids(self, seed, max_order,
+                                                 points, drop):
+        rng = np.random.default_rng(seed)
+        g = without_order(random_gfrf(rng, ATOMS), drop)
+        scan = cutoff_scan(g, 0.5, 25.0, points, max_order)
+        want = np.zeros(points)
+        for n in range(1, max_order + 1):
+            mag = np.abs(reference_grid(g, n, scan.axis))
+            for slot in range(n):
+                other = tuple(ax for ax in range(n) if ax != slot)
+                want = np.maximum(want, mag.max(axis=other) if other
+                                  else mag)
+        scale = max(l1(g, n) for n in range(1, max_order + 1))
+        assert np.max(np.abs(scan.envelope - want)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("points", [0, 1])
+    def test_too_few_points(self, g_narrow, points):
+        g, _ = atom_volterra(g_narrow, "g")
+        with pytest.raises(BadRange):
+            cutoff_scan(g, 0.5, 20.0, points, max_order=1)
+
+    def test_budget_is_checked_before_any_grid(self, monkeypatch):
+        g = Gfrf(0.0, {1: [GfrfTerm(1.0, (0.1,), (UNITY,))],
+                       2: [GfrfTerm(1.0, (0.1, 0.2), (UNITY, UNITY))]})
+        calls = []
+        for name in ("grid", "evaluate"):
+            monkeypatch.setattr(Gfrf, name,
+                                lambda self, n, w: calls.append(n))
+        with pytest.raises(GridTooLarge):
+            cutoff_scan(g, 0.5, 20.0, 5000, max_order=2)
+        assert calls == []
+
+    def test_budget_counts_only_orders_present(self):
+        # no order-2 terms: only 5000^1 is evaluated, within the budget
+        g = Gfrf(0.0, {1: [GfrfTerm(1.0, (0.1,), (UNITY,))]})
+        scan = cutoff_scan(g, 0.5, 20.0, 5000, max_order=2)
+        assert len(scan.envelope) == 5000
 
     def test_window_max_formula_cutoff_near_1_5_hz(self, kernel_table):
         # documented reproduction setting: first-order scan over [0, 8*pi]

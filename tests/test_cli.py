@@ -163,6 +163,17 @@ class TestCutoffCommand:
         assert data["found"] is True
         assert 0 < data["omega_star"] <= 8 * math.pi
 
+    @pytest.mark.parametrize("points", ["0", "1"])
+    def test_too_few_points_exits_2(self, workdir, capsys, points):
+        code = main(["cutoff", "once[0.2,0.4] p",
+                     "--kernels", str(workdir / "kernels.json"),
+                     "--fit", str(workdir / "fit.json"),
+                     "--threshold", "0.76", "--points", points,
+                     "--out", str(workdir / "cut")])
+        assert code == 2
+        assert "error[BadRange]" in capsys.readouterr().err
+        assert not (workdir / "cut" / "cutoff.json").exists()
+
 
 class TestCompressCommand:
     def test_safe_compression_run(self, workdir):

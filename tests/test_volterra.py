@@ -6,12 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from bbstl.errors import BadRange, UnderdeterminedSystem
 from bbstl.logic import Interval
-from bbstl.signals import (
-    Signal,
-    make_gaussian_kernel,
-    sum_of_sinusoids,
-    table_kernel,
-)
+from bbstl.signals import make_gaussian_kernel, sum_of_sinusoids
 from bbstl.volterra import (
     EVAL_BLOCK,
     UNITY,
@@ -29,7 +24,7 @@ from bbstl.volterra import (
 )
 
 from conftest import DT
-from gfrf_reference import random_gfrf, reference_evaluate
+from gfrf_reference import ATOMS, random_gfrf, reference_evaluate
 
 CFG = FitConfig()
 FAST = FitConfig(num_signals=12, times_per_signal=24, duration=8.0,
@@ -329,11 +324,6 @@ class TestEvaluateGfrf:
         back = Gfrf.from_json(data, atoms=g.atoms)
         w = np.linspace(0, 10, 5)
         assert np.allclose(back.evaluate(1, [w]), g.evaluate(1, [w]))
-
-
-# a closed-form Gaussian transfer and a sampled (table) one
-ATOMS = {"p": make_gaussian_kernel(0.05, 0.04, 0.2, DT),
-         "t": table_kernel(Signal(-DT, DT, np.array([0.25, 0.5, 0.25]) / DT))}
 
 
 class TestSlotTableEvaluate:
