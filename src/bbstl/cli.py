@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import analysis, compose, monitor, signals
@@ -29,14 +29,8 @@ from .errors import (
     TrueNotApproximable,
 )
 from .logic import (
-    And,
-    Atom,
     Formula,
-    Hist,
     Interval,
-    Not,
-    Once,
-    Or,
     Since,
     TrueFormula,
     format_formula,
@@ -97,30 +91,18 @@ def _apply_project_config(args) -> None:
 
 
 def ast_to_json(phi: Formula) -> dict:
-    if isinstance(phi, TrueFormula):
-        return {"type": "true"}
-    if isinstance(phi, Atom):
-        return {"type": "atom", "name": phi.name}
-    if isinstance(phi, Not):
-        return {"type": "not", "child": ast_to_json(phi.child)}
-    if isinstance(phi, And):
-        return {"type": "and", "left": ast_to_json(phi.left),
-                "right": ast_to_json(phi.right)}
-    if isinstance(phi, Or):
-        return {"type": "or", "left": ast_to_json(phi.left),
-                "right": ast_to_json(phi.right)}
-    if isinstance(phi, Once):
-        return {"type": "once", "interval": [phi.interval.lo, phi.interval.hi],
-                "child": ast_to_json(phi.child)}
-    if isinstance(phi, Hist):
-        return {"type": "hist", "interval": [phi.interval.lo, phi.interval.hi],
-                "child": ast_to_json(phi.child)}
-    if isinstance(phi, Since):
-        return {"type": "since",
-                "interval": [phi.interval.lo, phi.interval.hi],
-                "left": ast_to_json(phi.left),
-                "right": ast_to_json(phi.right)}
-    raise TypeError(f"not a formula: {phi!r}")
+    """JSON form of a formula: its node type plus one entry per field."""
+    out: dict = {"type": "true" if isinstance(phi, TrueFormula)
+                 else type(phi).__name__.lower()}
+    for f in fields(phi):
+        value = getattr(phi, f.name)
+        if isinstance(value, Interval):
+            out[f.name] = [value.lo, value.hi]
+        elif isinstance(value, str):
+            out[f.name] = value
+        else:
+            out[f.name] = ast_to_json(value)
+    return out
 
 
 def _write_json(data: dict, path: Path) -> None:

@@ -64,17 +64,8 @@ def compositions(n: int, k: int) -> list[tuple[int, ...]]:
     """
     if k < 1 or k > n:
         raise BadArity(f"need 1 <= k <= n, got k={k}, n={n}")
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], remaining: int, slots: int) -> None:
-        if slots == 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for m in range(1, remaining - slots + 2):
-            rec(prefix + [m], remaining - m, slots - 1)
-
-    rec([], n, k)
-    return out
+    return [tuple(b - a for a, b in zip((0,) + cuts, cuts + (n,)))
+            for cuts in itertools.combinations(range(1, n), k - 1)]
 
 
 def sum_gfrf(g1: Gfrf, g2: Gfrf) -> Gfrf:

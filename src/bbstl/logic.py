@@ -26,13 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    EmptyDiscreteWindow,
     EmptyInterval,
     FormulaSyntaxError,
     NegativeBound,
     TimeOutOfValidDomain,
     UnknownAtom,
+    WindowLargerThanSignal,
 )
-from .signals import Kernel, Signal, correlate
+from .signals import Kernel, Signal, align_signals, correlate
 
 # A kernel table maps atom names to measurement kernels.
 KernelTable = dict[str, Kernel]
@@ -352,7 +354,6 @@ def boolean_signal(phi: Formula, x: Signal, kt: KernelTable) -> Signal:
         u = boolean_signal(phi.child, x, kt)
         return u.with_samples(1.0 - u.samples)
     if isinstance(phi, (And, Or)):
-        from .signals import align_signals
         u, v = align_signals(boolean_signal(phi.left, x, kt),
                              boolean_signal(phi.right, x, kt))
         op = np.minimum if isinstance(phi, And) else np.maximum
@@ -369,7 +370,6 @@ def boolean_signal(phi: Formula, x: Signal, kt: KernelTable) -> Signal:
             out[k - ob] = win.any() if isinstance(phi, Once) else win.all()
         return Signal(u.t0 + ob * u.dt, u.dt, out.astype(float))
     if isinstance(phi, Since):
-        from .signals import align_signals
         u, v = align_signals(boolean_signal(phi.left, x, kt),
                              boolean_signal(phi.right, x, kt))
         oa, ob = _window_offsets(phi.interval, u.dt)
@@ -394,7 +394,6 @@ def boolean_signal(phi: Formula, x: Signal, kt: KernelTable) -> Signal:
 
 
 def _check_window(oa: int, ob: int, interval: Interval, u: Signal) -> None:
-    from .errors import EmptyDiscreteWindow, WindowLargerThanSignal
     if oa > ob:
         raise EmptyDiscreteWindow(
             f"interval {interval} contains no grid point at dt={u.dt}")

@@ -2,13 +2,14 @@
 
 The robustness of a formula is computed bottom-up over the AST: atoms are
 kernel correlations, boolean connectives are pointwise min/max, and the
-temporal operators are sliding-window extrema over ``[t-b, t-a]``
-(a sparse-table doubling pass, O(N log W) in numpy).  ``since`` follows the
-bounded recursion max over t' of min(rho2(t'), min over (t', t] of rho1),
-evaluated in O(N) by a block decomposition (Donze, Ferrere and Maler,
-"Efficient Robust Monitoring for STL", CAV 2013).  Every kernel only
-selects sample values with min and max, so its output equals a brute-force
-scan of the same windows bit for bit.
+temporal operators are windows over ``[t-b, t-a]``.  ``once``/``hist`` take
+a sliding extremum; ``since`` follows the bounded recursion max over t' of
+min(rho2(t'), min over (t', t] of rho1), an associative (max, min) scan
+(Donze, Ferrere and Maler, "Efficient Robust Monitoring for STL", CAV
+2013).  All three run on one sparse-table doubling pass, O(N log W) numpy
+work for a window of W samples.  Every kernel only selects sample values
+with min and max, so its output equals a brute-force scan of the same
+windows bit for bit.
 """
 
 from __future__ import annotations
@@ -142,6 +143,23 @@ def _window_extremum(x: np.ndarray, oa: int, ob: int,
     return f(y[:m], y[w - s: w - s + m])
 
 
+def _output_offsets(interval: Interval | tuple[float, float],
+                    u: Signal) -> tuple[int, int]:
+    """Window offsets (oa, ob) of ``interval`` on ``u``'s grid.
+
+    Raises when the discrete window is empty or leaves fewer than two
+    output samples.
+    """
+    if not isinstance(interval, Interval):
+        interval = Interval(*interval)
+    oa, ob = _window_offsets(interval, u.dt)
+    _check_window(oa, ob, interval, u)
+    if len(u) - ob < 2:
+        raise WindowLargerThanSignal(
+            f"window {interval} leaves fewer than two output samples")
+    return oa, ob
+
+
 def sliding_extremum(u: Signal, interval: Interval | tuple[float, float],
                      mode: str) -> Signal:
     """y(t) = extremum of ``u`` over ``[t-b, t-a]``.
@@ -153,52 +171,35 @@ def sliding_extremum(u: Signal, interval: Interval | tuple[float, float],
     """
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
-    if not isinstance(interval, Interval):
-        interval = Interval(*interval)
-    oa, ob = _window_offsets(interval, u.dt)
-    _check_window(oa, ob, interval, u)
-    if len(u) - ob < 2:
-        raise WindowLargerThanSignal(
-            f"window {interval} leaves fewer than two output samples")
+    oa, ob = _output_offsets(interval, u)
     out = _window_extremum(u.samples, oa, ob, mode)
     return Signal(u.t0 + ob * u.dt, u.dt, out)
 
 
 def _since_window(r1: np.ndarray, r2: np.ndarray, w: int) -> np.ndarray:
-    """z[m-w] = max over j in [m-w, m] of min(r2[j], min r1 over (j, m]),
+    """out[m-w] = max over j in [m-w, m] of min(r2[j], min r1 over (j, m]),
     for m in [w, len(r1)).
 
-    The samples are cut into blocks of ``w+1``, aligned so that the first
-    output starts a block; a window then covers a suffix of the previous
-    block and a prefix of its own.  Per block, ``z = max(R, min(P, S))``:
-    R is the unbounded since restarted at the block start (a recursion run
-    across all blocks at once, ``min(w+1, outputs)`` numpy steps), P the
-    prefix minimum of ``r1`` and S the suffix max-min of the previous
-    block.  The padding before index 0 and after the last sample lies
-    outside every window an output reads.
+    Sparse-table doubling on a pair: after passes with spans 1, 2, 4, ...,
+    ``mn[i]`` is the minimum of ``r1`` over ``[i, i+s)`` and ``z[i]`` the
+    since value at that span's end.  Two adjacent spans join as
+    ``z = max(z_right, min(z_left, mn_right))``.  A window of ``w+1``
+    samples is covered by a trailing span and a leading span of length
+    ``s`` (overlapping is harmless, max is idempotent); the leading one is
+    carried to the window end through the minimum of ``r1`` over the
+    samples after it.
     """
-    b = w + 1
     m = len(r1) - w
-    nb = -(-m // b)
-    # Row 0 is the block before the first output and starts at index -1.
-    pad = (1, (nb + 1) * b - len(r1) - 1)
-    a1 = np.pad(r1, pad, constant_values=np.inf).reshape(nb + 1, b)
-    a2 = np.pad(r2, pad, constant_values=-np.inf).reshape(nb + 1, b)
-    # S: in each earlier block, best min(r2[j], min r1 over (j, block end])
-    # over j at or after a position; shifted so column p reads from p+1.
-    tail = np.full((nb, b), np.inf)
-    tail[:, :-1] = np.minimum.accumulate(a1[:-1, :0:-1], axis=1)[:, ::-1]
-    s = np.maximum.accumulate(np.minimum(a2[:-1], tail)[:, ::-1],
-                              axis=1)[:, ::-1]
-    shifted = np.full((nb, b), -np.inf)
-    shifted[:, :-1] = s[:, 1:]
-    prefix = np.minimum.accumulate(a1[1:], axis=1)
-    r = a2[1:].copy()
-    tmp = np.empty(nb)
-    for p in range(1, min(b, m)):
-        np.minimum(r[:, p - 1], a1[1:, p], out=tmp)
-        np.maximum(r[:, p], tmp, out=r[:, p])
-    return np.maximum(r, np.minimum(prefix, shifted)).ravel()[:m]
+    z, mn, s = r2, r1, 1
+    while 2 * s <= w + 1:
+        z = np.maximum(z[s:], np.minimum(z[:-s], mn[s:]))
+        mn = np.minimum(mn[:-s], mn[s:])
+        s *= 2
+    out = z[w + 1 - s: w + 1 - s + m]
+    if s == w + 1:
+        return out
+    lead = np.minimum(z[:m], _window_extremum(r1[s:], 0, w - s, "min"))
+    return np.maximum(out, lead)
 
 
 def since_robustness(rho1: Signal, rho2: Signal,
@@ -211,25 +212,19 @@ def since_robustness(rho1: Signal, rho2: Signal,
 
     The inner minimum is split at ``t-a``: y(t) = min(A(t), z(t-a)), where
     A is the sliding minimum of rho1 over (t-a, t] (+inf when a = 0) and z
-    is ``since`` over ``[0, b-a]``, computed blockwise in O(N) work (see
-    ``_since_window``).  Only min and max of sample values are taken, so
-    the result is exact.
+    is ``since`` over ``[0, b-a]``.  Both are sparse-table doubling passes,
+    O(N log W) for a window of W samples (see ``_since_window``).  Only min
+    and max of sample values are taken, so the result is exact.
     """
-    if not isinstance(interval, Interval):
-        interval = Interval(*interval)
     if not rho1.same_grid(rho2):
         raise GridMismatch("since operands are not on a common grid")
     u, v = align_signals(rho1, rho2)
-    oa, ob = _window_offsets(interval, u.dt)
-    _check_window(oa, ob, interval, u)
+    oa, ob = _output_offsets(interval, u)
     n = len(u)
-    if n - ob < 2:
-        raise WindowLargerThanSignal(
-            f"window {interval} leaves fewer than two output samples")
     out = _since_window(u.samples[:n - oa], v.samples[:n - oa], ob - oa)
     if oa > 0:
-        np.minimum(out, _window_extremum(u.samples, 0, oa - 1, "min")
-                   [ob - oa + 1:], out=out)
+        out = np.minimum(out, _window_extremum(u.samples, 0, oa - 1, "min")
+                         [ob - oa + 1:])
     return Signal(u.t0 + ob * u.dt, u.dt, out)
 
 
@@ -270,7 +265,7 @@ def robustness(phi: Formula, x: Signal, kt: KernelTable) -> RobustnessSignal:
     valid_domain(phi, (x.t0, x.t_end), kt)   # raises if too short
     try:
         sig = _robustness_signal(phi, x, kt)
-    except (WindowLargerThanSignal,) as exc:
+    except WindowLargerThanSignal as exc:
         raise SignalTooShortForFormula(str(exc)) from exc
     return RobustnessSignal(sig)
 

@@ -76,10 +76,6 @@ class Signal:
         return self.t0 + (len(self) - 1) * self.dt
 
     @property
-    def duration(self) -> float:
-        return (len(self) - 1) * self.dt
-
-    @property
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(len(self))
 
@@ -100,9 +96,6 @@ class Signal:
 
     def with_samples(self, samples: np.ndarray) -> "Signal":
         return Signal(self.t0, self.dt, samples)
-
-    def shifted(self, offset: float) -> "Signal":
-        return Signal(self.t0 + offset, self.dt, self.samples)
 
     def same_grid(self, other: "Signal") -> bool:
         if abs(self.dt - other.dt) > _GRID_EPS * self.dt:

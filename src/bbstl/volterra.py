@@ -17,6 +17,7 @@ representation; it is closed under operator composition.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -92,19 +93,13 @@ def exponent_vectors(num_delays: int, degree: int) -> list[tuple[int, ...]]:
     The all-zero vector is excluded: the fitted operators map the zero
     signal to zero, so the constant coefficient is pinned at 0.
     """
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], budget: int) -> None:
-        if len(prefix) == num_delays:
-            if any(prefix):
-                out.append(tuple(prefix))
-            return
-        for r in range(budget + 1):
-            rec(prefix + [r], budget - r)
-
-    rec([], degree)
-    out.sort(key=lambda r: (sum(r), r))
-    return out
+    # A degree-d monomial is a multiset of d delay indices, so only the
+    # C(D+d-1, d) vectors that exist are built, not (degree+1)^D candidates.
+    return sorted((tuple(map(combo.count, range(num_delays)))
+                   for d in range(1, degree + 1)
+                   for combo in itertools.combinations_with_replacement(
+                       range(num_delays), d)),
+                  key=lambda r: (sum(r), r))
 
 
 # ---------------------------------------------------------------------------

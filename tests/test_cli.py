@@ -34,7 +34,28 @@ def workdir(tmp_path):
     return tmp_path
 
 
+P = {"type": "atom", "name": "p"}
+Q = {"type": "atom", "name": "q"}
+
+
 class TestParseCommand:
+    @pytest.mark.parametrize("text, ast", [
+        ("true", {"type": "true"}),
+        ("p", P),
+        ("not p", {"type": "not", "child": P}),
+        ("p and q", {"type": "and", "left": P, "right": Q}),
+        ("p or q", {"type": "or", "left": P, "right": Q}),
+        ("once[0.2,0.4] p", {"type": "once", "interval": [0.2, 0.4],
+                             "child": P}),
+        ("hist[0,0.3] q", {"type": "hist", "interval": [0.0, 0.3],
+                           "child": Q}),
+        ("p since[0.1,0.5] q", {"type": "since", "interval": [0.1, 0.5],
+                                "left": P, "right": Q}),
+    ])
+    def test_ast_per_node_type(self, capsys, text, ast):
+        assert main(["parse", text]) == 0
+        assert json.loads(capsys.readouterr().out)["ast"] == ast
+
     def test_ast_dump(self, capsys):
         assert main(["parse", "hist[1,1.2] p"]) == 0
         data = json.loads(capsys.readouterr().out)

@@ -240,6 +240,20 @@ def tied_signal(n, seed):
     return Signal(0.0, DT, x)
 
 
+def sparse_since_pair(n, seed):
+    """rho1 at +inf but for a few dips, rho2 at -inf but for a few peaks:
+    y(t) is the highest peak in the window capped by the dips after it, so
+    the deciding t' can lie anywhere in a wide window."""
+    rng = np.random.default_rng(seed)
+    x1 = np.full(n, np.inf)
+    x1[rng.integers(0, n, size=n // 300)] = rng.integers(0, 10, n // 300)
+    x1[rng.integers(0, n)] = -np.inf
+    x2 = np.full(n, -np.inf)
+    x2[rng.integers(0, n, size=n // 100)] = rng.integers(0, 10, n // 100)
+    x2[rng.integers(0, n)] = np.inf
+    return Signal(0.0, DT, x1), Signal(0.0, DT, x2)
+
+
 class TestDoublingKernelEdges:
     N = 150
 
@@ -253,12 +267,18 @@ class TestDoublingKernelEdges:
             assert np.array_equal(fast.samples, slow.samples), (oa, ob)
 
     def test_since_robustness(self):
-        for oa, ob in doubling_windows(self.N):
-            rho1 = tied_signal(self.N, oa * 1000 + ob)
-            rho2 = tied_signal(self.N, oa * 1000 + ob + 1)
+        cases = [(self.N, oa, ob, tied_signal(self.N, oa * 1000 + ob),
+                  tied_signal(self.N, oa * 1000 + ob + 1))
+                 for oa, ob in doubling_windows(self.N)]
+        # Wide windows reach the top doubling levels and the gap minimum
+        # that carries the leading span to the window end.
+        n = 1100
+        cases += [(n, oa, oa + w - 1, *sparse_since_pair(n, w + oa))
+                  for w in (1023, 1024, 1025) for oa in (0, 3)]
+        for n, oa, ob, rho1, rho2 in cases:
             fast = since_robustness(rho1, rho2, Interval(oa * DT, ob * DT))
             slow = brute_since(rho1, rho2, (oa * DT, ob * DT))
-            assert np.array_equal(fast.samples, slow.samples), (oa, ob)
+            assert np.array_equal(fast.samples, slow.samples), (n, oa, ob)
 
 
 FORMULAS = [
