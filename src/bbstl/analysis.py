@@ -44,8 +44,15 @@ def output_spectrum(g: Gfrf, spec: Spectrum,
     Order 1 is the pointwise product H_1 X; order n >= 2 contributes the
     hyperplane sum evaluated as a chain of grid convolutions of slot
     spectra exp(-i d w) factor(w) X(w), each weighted by domega / (2*pi).
-    Every vocabulary entry's slot spectrum is computed once, and by
-    linearity one convolution serves every term sharing a slot prefix.
+    Every vocabulary entry's slot spectrum is computed and transformed
+    once per call, and by linearity one convolution serves every term
+    sharing a slot prefix.
+
+    A convolution keeps bins [zero, zero + P) of the full 2P - 1, with
+    zero = P // 2.  A circular one of size S wraps bin k + S onto bin k,
+    so S >= 2P - 1 - zero leaves the kept bins alias-free and S >= zero +
+    P keeps them in range; as 2 * zero >= P - 1, the second implies the
+    first, and S is the smallest 5-smooth size meeting it.
     """
     if not 1 <= max_order <= MAX_SPECTRUM_ORDER:
         raise OrderTooHigh(
@@ -56,33 +63,22 @@ def output_spectrum(g: Gfrf, spec: Spectrum,
     if abs(spec.omega0 + zero_idx * spec.domega) > 1e-9 * spec.domega + 1e-12:
         raise BadRange("spectrum grid must contain omega = 0")
     weight = spec.domega / (2 * math.pi)
+    size = _smooth_size(zero_idx + n_bins)
 
-    def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return _window_convolve(a, b, zero_idx) * weight
+    def convolve(a: np.ndarray, b_fft: np.ndarray) -> np.ndarray:
+        # rows of a by rows of the transformed slot table
+        full = np.fft.ifft(np.fft.fft(a, size, axis=1) * b_fft, axis=1)
+        return full[:, zero_idx: zero_idx + n_bins] * weight
 
     slots = g.slot_table(spec.omegas) * spec.bins
+    # slot 1 enters the chain as it is, slots 2..n as right operands
+    slots_fft = np.fft.fft(slots, size, axis=1)
     out = np.zeros(n_bins, dtype=complex)
     for order in sorted(g.coeffs):
         if order <= max_order:
-            out += g.slot_trie(order).contract([slots] * order, convolve)
+            out += g.slot_trie(order).contract(
+                [slots] + [slots_fft] * (order - 1), convolve)
     return Spectrum(spec.omega0, spec.domega, out, t0=spec.t0)
-
-
-def _window_convolve(a: np.ndarray, b: np.ndarray,
-                     start: int) -> np.ndarray:
-    """Bins [start, start + P) of the row-by-row linear convolution of two
-    (rows, P) arrays.
-
-    The full convolution has 2P - 1 bins.  A circular one of size S wraps
-    bin k + S onto bin k, so S >= 2P - 1 - start leaves the kept bins
-    alias-free and S >= start + P keeps them in range; S is the smallest
-    5-smooth size meeting both.
-    """
-    p = a.shape[1]
-    size = _smooth_size(max(2 * p - 1 - start, start + p))
-    full = np.fft.ifft(np.fft.fft(a, size, axis=1)
-                       * np.fft.fft(b, size, axis=1), axis=1)
-    return full[:, start: start + p]
 
 
 def _smooth_size(n: int) -> int:

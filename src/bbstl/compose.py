@@ -50,6 +50,7 @@ from .volterra import (
     atom_volterra,
     fit_poly_delay,
     fit_separable_minmax,
+    fold_vocabulary,
     memoryless_poly_gfrf,
     negation_volterra,
     poly_delay_to_gfrf,
@@ -70,6 +71,12 @@ def compositions(n: int, k: int) -> list[tuple[int, ...]]:
 
 def sum_gfrf(g1: Gfrf, g2: Gfrf) -> Gfrf:
     """Order-wise sum of two responses (term lists concatenate)."""
+    return Gfrf.from_slots(*_concat(g1, g2))
+
+
+def _concat(g1: Gfrf, g2: Gfrf) -> tuple:
+    """Raw ``from_slots`` arguments of the order-wise sum: g1's terms, then
+    g2's, over the two vocabularies placed end to end."""
     offset = len(g1.slot_delays)
     coeffs: dict[int, list[np.ndarray]] = {}
     slot_ids: dict[int, list[np.ndarray]] = {}
@@ -77,12 +84,11 @@ def sum_gfrf(g1: Gfrf, g2: Gfrf) -> Gfrf:
         for n, ids in g.slot_ids.items():
             coeffs.setdefault(n, []).append(g.coeffs[n])
             slot_ids.setdefault(n, []).append(ids + shift)
-    return Gfrf.from_slots(
-        g1.h0 + g2.h0, np.concatenate([g1.slot_delays, g2.slot_delays]),
-        g1.slot_factors + g2.slot_factors,
-        {n: np.concatenate(c) for n, c in coeffs.items()},
-        {n: np.concatenate(i) for n, i in slot_ids.items()},
-        _merge_atoms(g1, g2))
+    return (g1.h0 + g2.h0, np.concatenate([g1.slot_delays, g2.slot_delays]),
+            g1.slot_factors + g2.slot_factors,
+            {n: np.concatenate(c) for n, c in coeffs.items()},
+            {n: np.concatenate(i) for n, i in slot_ids.items()},
+            _merge_atoms(g1, g2))
 
 
 def _merge_atoms(g1: Gfrf, g2: Gfrf) -> dict:
@@ -95,11 +101,12 @@ def _merge_atoms(g1: Gfrf, g2: Gfrf) -> dict:
 
 
 def compose_gfrf(outer: Gfrf, inner: Gfrf, max_order: int = 4) -> Gfrf:
-    """Closed-form GFRF of outer after inner, up to ``max_order``.
+    """Closed-form GFRF of outer after inner, up to ``max_order``, merged.
 
     The outer operator must be a delta train (unity factors only) and the
     inner must have zero H_0; both hold for every operator produced by the
-    formula pipeline.  H_0 of the result is the outer H_0.
+    formula pipeline.  H_0 of the result is the outer H_0.  The product
+    terms are merged on their raw arrays and stored once.
     """
     if any(f != UNITY for f in outer.slot_factors):
         raise OuterHasAtomFactors(
@@ -124,9 +131,8 @@ def compose_gfrf(outer: Gfrf, inner: Gfrf, max_order: int = 4) -> Gfrf:
         if blocks:
             coeffs[n] = np.concatenate([c for c, _ in blocks])
             slot_ids[n] = np.concatenate([i for _, i in blocks])
-    g = Gfrf.from_slots(outer.h0, delays, factors, coeffs, slot_ids,
+    return _merge_slots(outer.h0, delays, factors, coeffs, slot_ids,
                         _merge_atoms(outer, inner))
-    return merge_terms(g)
 
 
 def _block_product(outer_coeffs: np.ndarray, outer_ids: np.ndarray,
@@ -173,25 +179,43 @@ def merge_terms(g: Gfrf) -> Gfrf:
     Delays match when they agree to 12 decimals; the rounding runs once
     per vocabulary entry.  A merged term keeps the exact delays of its
     first occurrence, sums the coefficients in term order, and the merged
-    terms come out sorted by (delays, factors).
+    terms come out sorted by (delays, factors).  Composition, sums in the
+    formula pipeline and ``symmetrize_gfrf`` merge their raw arrays the
+    same way (``_merge_slots``) before anything is stored.
     """
-    rounded = [round(d, 12) for d in g.slot_delays.tolist()]
-    delay_rank = np.unique(rounded, return_inverse=True)[1]
-    names = sorted(set(g.slot_factors))
-    factor_rank = np.array([names.index(f) for f in g.slot_factors],
-                           dtype=np.intp)
-    coeffs, slot_ids = {}, {}
-    for n, ids in g.slot_ids.items():
+    return _merge_slots(g.h0, g.slot_delays, g.slot_factors, g.coeffs,
+                        g.slot_ids, g.atoms)
+
+
+def _merge_slots(h0: float, delays: np.ndarray, factors: tuple[str, ...],
+                 coeffs: dict[int, np.ndarray],
+                 slot_ids: dict[int, np.ndarray], atoms: dict) -> Gfrf:
+    """``merge_terms`` on raw ``Gfrf.from_slots`` arrays; only the merged
+    response is stored.
+
+    The vocabulary is folded first (``fold_vocabulary``), so duplicate and
+    unused entries neither split keys nor change the numbering, and the
+    rounding runs once per folded entry.
+    """
+    remap, entries = fold_vocabulary(delays, factors, slot_ids.values())
+    rounded = [round(d, 12) for d, _ in entries]
+    delay_rank = np.unique(rounded, return_inverse=True)[1][remap]
+    names = sorted({f for _, f in entries})
+    factor_rank = np.array([names.index(f) for _, f in entries],
+                           dtype=np.intp)[remap]
+    merged_coeffs, merged_ids = {}, {}
+    for n, ids in slot_ids.items():
         key = _lex_keys(list(delay_rank[ids].T) + list(factor_rank[ids].T),
                         [len(rounded)] * n + [len(names)] * n)
         _, first, group = np.unique(key, return_index=True,
                                     return_inverse=True)
-        summed = np.bincount(group, weights=g.coeffs[n])
+        summed = np.bincount(group, weights=coeffs[n])
         keep = summed != 0.0
-        coeffs[n] = summed[keep]
-        slot_ids[n] = ids[first[keep]]
-    return Gfrf.from_slots(g.h0, g.slot_delays, g.slot_factors, coeffs,
-                           slot_ids, g.atoms)
+        merged_coeffs[n] = summed[keep]
+        merged_ids[n] = remap[ids[first[keep]]]
+    return Gfrf.from_slots(h0, np.array([d for d, _ in entries]),
+                           tuple(f for _, f in entries), merged_coeffs,
+                           merged_ids, atoms)
 
 
 def symmetrize_gfrf(g: Gfrf) -> Gfrf:
@@ -207,30 +231,42 @@ def symmetrize_gfrf(g: Gfrf) -> Gfrf:
         slot_ids[n] = ids[:, perms].reshape(-1, n)
         coeffs[n] = np.repeat(g.coeffs[n] * (1.0 / math.factorial(n)),
                               len(perms))
-    return merge_terms(Gfrf.from_slots(g.h0, g.slot_delays, g.slot_factors,
-                                       coeffs, slot_ids, g.atoms))
+    return _merge_slots(g.h0, g.slot_delays, g.slot_factors, coeffs,
+                        slot_ids, g.atoms)
 
 
 def prune_gfrf(g: Gfrf, threshold: float) -> tuple[Gfrf, float]:
-    """Merge identical terms, then drop |coeff| < threshold.
+    """Merge identical terms (``merge_terms``), then drop |coeff| <
+    threshold.
 
     Returns the pruned response and the dropped coefficient mass, which
     bounds the evaluation change at any frequency tuple for unit-bounded
-    factors.
+    factors.  ``build_formula_operator`` merges every node as it builds
+    it, so it applies only the drop step (``_drop_small``).
     """
+    _check_threshold(threshold)
+    return _drop_small(merge_terms(g), threshold)
+
+
+def _check_threshold(threshold: float) -> None:
     if threshold < 0:
         raise BadArity("prune threshold must be >= 0")
-    merged = merge_terms(g)
+
+
+def _drop_small(g: Gfrf, threshold: float) -> tuple[Gfrf, float]:
+    """Drop |coeff| < threshold from a merged response, with the dropped
+    mass; at threshold 0 nothing qualifies and ``g`` comes back as is."""
+    if threshold == 0:
+        return g, 0.0
     dropped = 0.0
     coeffs, slot_ids = {}, {}
-    for n, c in merged.coeffs.items():
+    for n, c in g.coeffs.items():
         small = np.abs(c) < threshold
         dropped += float(np.abs(c[small]).sum())
         coeffs[n] = c[~small]
-        slot_ids[n] = merged.slot_ids[n][~small]
-    return Gfrf.from_slots(merged.h0, merged.slot_delays,
-                           merged.slot_factors, coeffs, slot_ids,
-                           merged.atoms), dropped
+        slot_ids[n] = g.slot_ids[n][~small]
+    return Gfrf.from_slots(g.h0, g.slot_delays, g.slot_factors, coeffs,
+                           slot_ids, g.atoms), dropped
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +327,12 @@ def build_formula_operator(phi: Formula, kt: KernelTable,
     Atoms map to their exact first-order response; once/hist to fitted
     polynomial-delay operators composed over the child; and/or to the
     separable min/max polynomials applied to each child and summed.
-    ``since`` and explicit ``true`` are rejected.
+    ``since`` and explicit ``true`` are rejected, and so is a negative
+    ``prune_threshold``, before any fit runs.  Every node's response is
+    merged once, on raw arrays, and stored; ``prune_threshold`` then drops
+    its small coefficients.
     """
+    _check_threshold(prune_threshold)
     if cfg is None:
         cfg = FitConfig()
     report = BuildReport()
@@ -320,8 +360,9 @@ def build_formula_operator(phi: Formula, kt: KernelTable,
             if fit.diagnostics is not None:
                 report.fit_residuals[f"{op}{node.interval}"] = \
                     fit.diagnostics.rms_residual
-            composed = compose_gfrf(poly_delay_to_gfrf(fit), g, cfg.max_order)
-            composed, dropped = prune_gfrf(composed, prune_threshold)
+            composed, dropped = _drop_small(
+                compose_gfrf(poly_delay_to_gfrf(fit), g, cfg.max_order),
+                prune_threshold)
             report.dropped_mass += dropped
             return composed, PolyDelayNode(fit, p)
         if isinstance(node, (And, Or)):
@@ -335,8 +376,8 @@ def build_formula_operator(phi: Formula, kt: KernelTable,
                                 cfg.max_order)
             right = compose_gfrf(memoryless_poly_gfrf(fit.q), g2,
                                  cfg.max_order)
-            combined, dropped = prune_gfrf(sum_gfrf(left, right),
-                                           prune_threshold)
+            combined, dropped = _drop_small(
+                _merge_slots(*_concat(left, right)), prune_threshold)
             report.dropped_mass += dropped
             return combined, SumNode((MemorylessNode(fit.r, p1),
                                       MemorylessNode(fit.q, p2)))

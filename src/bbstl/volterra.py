@@ -231,11 +231,13 @@ class SlotTrie:
     def contract(self, tables: list[np.ndarray], combine) -> np.ndarray:
         """sum_t coeff_t * slot_1 x ... x slot_n for one order.
 
-        ``tables[j]`` holds the values of every vocabulary entry in slot j,
-        shape (V, P), C-ordered; ``combine`` is a bilinear row-by-row
-        product of two 2-D arrays with equal row counts (pointwise for
-        responses, grid convolution for spectra, outer product for tensor
-        grids), applied left to right.  Rows go through it in chunks whose
+        ``tables[j]`` holds one C-ordered row per vocabulary entry for
+        slot j: its values, shape (V, P), or for j >= 1 whatever form
+        ``combine`` takes as its right operand (the FFT of the values, for
+        spectra); ``combine`` is a bilinear row-by-row product of two 2-D
+        arrays with equal row counts (pointwise for responses, grid
+        convolution for spectra, outer product for tensor grids), applied
+        left to right.  Rows go through it in chunks whose
         output holds at most CONTRACT_VALUES values, and the last prefix
         level is folded into the weights chunk by chunk, never held whole.
         """
@@ -297,6 +299,22 @@ def _outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         len(a), a.shape[1] * b.shape[1])
 
 
+def fold_vocabulary(delays: np.ndarray, factors: tuple[str, ...],
+                    id_arrays) -> tuple[np.ndarray, list[tuple[float, str]]]:
+    """One entry per distinct (exact delay, factor) that ``id_arrays`` use,
+    numbered in id order, and ``remap`` taking each used id to its entry
+    (unused ids map to 0)."""
+    in_use = np.zeros(len(delays), dtype=bool)
+    for ids in id_arrays:
+        in_use[ids] = True
+    used = np.flatnonzero(in_use)
+    index: dict[tuple[float, str], int] = {}
+    remap = np.zeros(len(delays), dtype=np.intp)
+    for v, d in zip(used.tolist(), delays[used].tolist()):
+        remap[v] = index.setdefault((d, factors[v]), len(index))
+    return remap, list(index)
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -348,19 +366,13 @@ class Gfrf:
 
     def _store(self, h0, delays, factors, coeffs, slot_ids, atoms) -> None:
         live = [n for n in coeffs if len(coeffs[n])]
-        used = np.unique(np.concatenate(
-            [slot_ids[n].ravel() for n in live] + [np.zeros(0, np.intp)]))
-        # one id per distinct (exact delay, factor) in use, in id order
-        keys = list(zip(delays.tolist(), factors))
-        index: dict[tuple[float, str], int] = {}
-        remap = np.zeros(len(keys), dtype=np.intp)
-        for v in used.tolist():
-            remap[v] = index.setdefault(keys[v], len(index))
+        remap, entries = fold_vocabulary(delays, factors,
+                                         [slot_ids[n] for n in live])
         self.h0 = float(h0)
         self.atoms = dict(atoms or {})
-        self.slot_delays = _frozen(np.array([d for d, _ in index],
+        self.slot_delays = _frozen(np.array([d for d, _ in entries],
                                             dtype=float))
-        self.slot_factors = tuple(f for _, f in index)
+        self.slot_factors = tuple(f for _, f in entries)
         self.coeffs = {n: _frozen(np.array(coeffs[n], dtype=float))
                        for n in live}
         self.slot_ids = {n: _frozen(remap[slot_ids[n]]) for n in live}
@@ -519,17 +531,33 @@ def poly_delay_to_gfrf(p: PolyDelayOperator) -> Gfrf:
 
     The exponent vector (r_1..r_D) of order n contributes a single order-n
     term whose delay multiset repeats delay t_j exactly r_j times, in index
-    order.
+    order.  The slot ids come from the exponent matrix, one order at a
+    time, and the vocabulary is numbered in first-use order (orders as
+    they first appear in ``p.terms``, then terms, then slots), as the
+    term-list constructor numbers it.
     """
-    orders: dict[int, list[GfrfTerm]] = {}
-    for exps, alpha in p.terms:
-        n = sum(exps)
-        delays = []
-        for t_j, r_j in zip(p.delays, exps):
-            delays.extend([t_j] * r_j)
-        orders.setdefault(n, []).append(
-            GfrfTerm(alpha, tuple(delays), (UNITY,) * n))
-    return Gfrf(0.0, orders)
+    num_delays = len(p.delays)
+    exps = np.array([e for e, _ in p.terms], dtype=np.intp).reshape(
+        len(p.terms), num_delays)
+    alpha = np.array([a for _, a in p.terms], dtype=float)
+    order_of = exps.sum(axis=1)
+    coeffs, slot_ids = {}, {}
+    for n in dict.fromkeys(order_of.tolist()):
+        rows = order_of == n
+        count = int(rows.sum())
+        slot_ids[n] = np.repeat(np.tile(np.arange(num_delays), count),
+                                exps[rows].ravel()).reshape(count, n)
+        coeffs[n] = alpha[rows]
+    # delay indices in first-use order; from_slots folds equal delays onto
+    # the first of them
+    flat = np.concatenate([ids.ravel() for ids in slot_ids.values()]
+                          + [np.zeros(0, np.intp)])
+    by_use = flat[np.sort(np.unique(flat, return_index=True)[1])]
+    rank = np.zeros(num_delays, dtype=np.intp)
+    rank[by_use] = np.arange(len(by_use))
+    return Gfrf.from_slots(0.0, np.array(p.delays, dtype=float)[by_use],
+                           (UNITY,) * len(by_use), coeffs,
+                           {n: rank[ids] for n, ids in slot_ids.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Term-by-term reference versions of the GFRF evaluator and algebra.
 
 They read a response only through its ``GfrfTerm`` records (``Gfrf.orders``)
-and share no code with the slot-table evaluator, the ``np.unique`` merge or
-the broadcast composition in ``bbstl``, so the tests can hold those against
-them.
+or build it through the term-list constructor, and share no code with the
+slot-table evaluator, the ``np.unique`` merge, the broadcast composition or
+the exponent-matrix expansion in ``bbstl``, so the tests can hold those
+against them.
 """
 
 import math
@@ -65,6 +66,21 @@ def reference_output_spectrum(g: Gfrf, spec, max_order: int):
     return out, scale
 
 
+def reference_poly_delay_gfrf(p) -> Gfrf:
+    """Delta-train expansion of a polynomial-delay operator, one
+    ``GfrfTerm`` per exponent vector: delay t_j repeated r_j times, in
+    index order, through the term-list constructor."""
+    orders = {}
+    for exps, alpha in p.terms:
+        n = sum(exps)
+        delays = []
+        for t_j, r_j in zip(p.delays, exps):
+            delays.extend([t_j] * r_j)
+        orders.setdefault(n, []).append(
+            GfrfTerm(alpha, tuple(delays), (UNITY,) * n))
+    return Gfrf(0.0, orders)
+
+
 def reference_merge(g: Gfrf) -> Gfrf:
     """Merge on (delays rounded to 12 decimals, factors) keys: the first
     term of a key keeps its exact delays, coefficients add in term order,
@@ -124,6 +140,19 @@ def _expand(acc, outer_term, parts, pools) -> None:
             stack.append((j + 1, coeff * t.coeff,
                           delays + tuple(c_j + a for a in t.delays),
                           factors + t.factors))
+
+
+def assert_same_arrays(got: Gfrf, want: Gfrf) -> None:
+    """Bit-identical stored arrays: vocabulary, orders in the same order,
+    coefficients and slot ids."""
+    assert got.h0 == want.h0
+    assert np.array_equal(got.slot_delays, want.slot_delays)
+    assert got.slot_factors == want.slot_factors
+    assert list(got.coeffs) == list(want.coeffs)
+    for n, c in want.coeffs.items():
+        assert got.coeffs[n].tobytes() == c.tobytes()
+        assert got.slot_ids[n].shape == want.slot_ids[n].shape
+        assert np.array_equal(got.slot_ids[n], want.slot_ids[n])
 
 
 def assert_same_terms(got: Gfrf, want: Gfrf) -> None:

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from bbstl import volterra
 from bbstl.analysis import (
     _smooth_size,
-    _window_convolve,
     compression_safety_report,
     cutoff_scan,
     gfrf_grid,
@@ -18,7 +17,7 @@ from bbstl.analysis import (
 from bbstl.compose import build_formula_operator
 from bbstl.errors import BadRange, GridTooLarge, OrderTooHigh
 from bbstl.logic import parse_formula
-from bbstl.signals import Signal, fft, make_gaussian_kernel
+from bbstl.signals import Signal, Spectrum, fft, make_gaussian_kernel
 from bbstl.volterra import (
     UNITY,
     FitConfig,
@@ -170,16 +169,22 @@ class TestWindowConvolve:
 
     @pytest.mark.parametrize("n_bins", SIZES)
     def test_rows_match_linear_convolution(self, n_bins):
+        # an order-2 term with delays (d1, d2) outputs bins [n // 2,
+        # n // 2 + n) of the linear convolution of its two slot spectra
         rng = np.random.default_rng(n_bins)
-        a = rng.normal(size=(3, n_bins)) + 1j * rng.normal(size=(3, n_bins))
-        b = rng.normal(size=(3, n_bins)) + 1j * rng.normal(size=(3, n_bins))
-        for start in sorted({0, n_bins // 2, n_bins - 1}):
-            got = _window_convolve(a, b, start)
-            assert got.shape == (3, n_bins)
-            for row in range(3):
-                want = np.convolve(a[row], b[row])[start: start + n_bins]
-                scale = np.abs(a[row]).sum() * np.abs(b[row]).sum()
-                assert np.max(np.abs(got[row] - want)) <= 1e-14 * scale
+        zero, domega = n_bins // 2, 0.7
+        spec = Spectrum(-zero * domega, domega, rng.normal(size=n_bins)
+                        + 1j * rng.normal(size=n_bins))
+        weight = domega / (2 * math.pi)
+        for d1, d2 in rng.uniform(0.0, 0.5, size=(3, 2)):
+            g = Gfrf(0.0, {2: [GfrfTerm(1.0, (d1, d2), (UNITY, UNITY))]})
+            got = output_spectrum(g, spec, 2).bins
+            a, b = (np.exp(-1j * d * spec.omegas) * spec.bins
+                    for d in (d1, d2))
+            want = np.convolve(a, b)[zero: zero + n_bins] * weight
+            scale = np.abs(a).sum() * np.abs(b).sum() * weight
+            assert got.shape == (n_bins,)
+            assert np.max(np.abs(got - want)) <= 1e-14 * scale
 
 
 class TestGfrfGrid:

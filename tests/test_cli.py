@@ -170,6 +170,16 @@ class TestGfrfCommand:
                      "--fit", str(workdir / "fit.json")])
         assert code == 3
 
+    @pytest.mark.parametrize("formula", ["p", "once[0.2,0.4] p"])
+    def test_negative_prune_is_usage_error(self, workdir, capsys, formula):
+        code = main(["gfrf", formula,
+                     "--kernels", str(workdir / "kernels.json"),
+                     "--fit", str(workdir / "fit.json"),
+                     "--prune", "-1", "--out", str(workdir / "neg_prune")])
+        assert code == 1
+        assert "error[BadArity]:" in capsys.readouterr().err
+        assert not (workdir / "neg_prune" / "gfrf.json").exists()
+
 
 class TestCutoffCommand:
     def test_cutoff_report(self, workdir):

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bbstl import compose
 from bbstl.compose import (
     build_formula_operator,
+    cached_poly_fit,
+    cached_separable_fit,
     clear_fit_cache,
     compose_gfrf,
     compositions,
@@ -26,7 +29,15 @@ from bbstl.errors import (
 )
 from bbstl.logic import Atom, Interval, parse_formula
 from bbstl.signals import make_gaussian_kernel
-from bbstl.volterra import UNITY, FitConfig, Gfrf, GfrfTerm, atom_volterra
+from bbstl.volterra import (
+    UNITY,
+    FitConfig,
+    Gfrf,
+    GfrfTerm,
+    atom_volterra,
+    memoryless_poly_gfrf,
+    poly_delay_to_gfrf,
+)
 
 from conftest import DT
 from gfrf_reference import (
@@ -244,6 +255,47 @@ class TestPrune:
             delta = abs(pruned.evaluate(n, list(w))
                         - merged.evaluate(n, list(w)))
             assert delta <= dropped + 1e-12
+
+    @pytest.mark.parametrize("text", ["p", "once[0.2,0.4] p"])
+    def test_negative_threshold_rejected_before_any_fit(self, kernel_table,
+                                                        monkeypatch, text):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit ran before the threshold check")
+
+        clear_fit_cache()
+        monkeypatch.setattr(compose, "fit_poly_delay", no_fit)
+        with pytest.raises(BadArity):
+            build_formula_operator(parse_formula(text), kernel_table, FAST,
+                                   prune_threshold=-1.0)
+
+    def test_pruned_build_matches_node_by_node_prune(self, kernel_table):
+        """The build drops small terms once per merged node; composing,
+        summing and pruning (merge, then drop) at every node by hand gives
+        the same terms and the same dropped mass."""
+        # the reproduction fits, whose small coefficients prune at 1e-3 in
+        # the temporal nodes too
+        cfg = FitConfig(max_order=3)
+        threshold, order = 1e-3, cfg.max_order
+        phi = parse_formula("once[0,0.5] p and hist[0,0.3] q")
+        built = build_formula_operator(phi, kernel_table, cfg, threshold)
+
+        def temporal(op, lo, hi, atom):
+            fit = cached_poly_fit(op, Interval(lo, hi), cfg)
+            child, _ = atom_volterra(kernel_table[atom], atom)
+            return prune_gfrf(compose_gfrf(poly_delay_to_gfrf(fit), child,
+                                           order), threshold)
+
+        once, dropped_once = temporal("once", 0.0, 0.5, "p")
+        hist, dropped_hist = temporal("hist", 0.0, 0.3, "q")
+        fit = cached_separable_fit("min", cfg)
+        want, dropped_and = prune_gfrf(sum_gfrf(
+            compose_gfrf(memoryless_poly_gfrf(fit.r), once, order),
+            compose_gfrf(memoryless_poly_gfrf(fit.q), hist, order)),
+            threshold)
+        assert dropped_once > 0 and dropped_and > 0
+        assert_same_terms(built.gfrf, want)
+        assert built.report.dropped_mass == \
+            0.0 + dropped_once + dropped_hist + dropped_and
 
 
 class TestFormulaPipeline:

@@ -13,6 +13,7 @@ from bbstl.volterra import (
     FitConfig,
     Gfrf,
     MemorylessPoly,
+    PolyDelayOperator,
     apply_pipeline,
     atom_volterra,
     exponent_vectors,
@@ -24,7 +25,13 @@ from bbstl.volterra import (
 )
 
 from conftest import DT
-from gfrf_reference import ATOMS, random_gfrf, reference_evaluate
+from gfrf_reference import (
+    ATOMS,
+    assert_same_arrays,
+    random_gfrf,
+    reference_evaluate,
+    reference_poly_delay_gfrf,
+)
 
 CFG = FitConfig()
 FAST = FitConfig(num_signals=12, times_per_signal=24, duration=8.0,
@@ -133,6 +140,41 @@ class TestPolyDelayGfrf:
             a = g.evaluate(n, list(w))
             b = g.evaluate(n, list(-w))
             assert abs(b - np.conj(a)) < 1e-12
+
+    @pytest.mark.parametrize("op, lo, hi, cfg", [
+        ("once", 0.2, 0.4, FAST),
+        ("hist", 0.0, 0.3, FAST),
+        ("once", 0.3, 0.3, FAST),                      # punctual: one delay
+        ("hist", 0.0, 0.4, FitConfig(num_signals=12, times_per_signal=24,
+                                     duration=8.0, degree=3,
+                                     delays=(0.0, 0.2, 0.2, 0.4))),
+    ] + [("once", 0.0, 0.5, FitConfig(num_signals=12, times_per_signal=24,
+                                      duration=8.0, num_delays=3,
+                                      degree=d)) for d in range(1, 6)])
+    def test_fitted_expansion_matches_term_list_reference(self, op, lo, hi,
+                                                          cfg):
+        fit = fit_poly_delay(op, Interval(lo, hi), cfg)
+        assert_same_arrays(poly_delay_to_gfrf(fit),
+                           reference_poly_delay_gfrf(fit))
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_expansion_matches_term_list_reference(self, seed):
+        # repeated delays, any degree 1-5, terms in any order, zero and
+        # non-zero coefficients
+        rng = np.random.default_rng(seed)
+        num_delays = int(rng.integers(1, 6))
+        delays = tuple(float(d) for d in
+                       rng.choice([0.0, 0.1, 0.2, 0.1 + 0.2, 0.3], num_delays))
+        degree = int(rng.integers(1, 6))
+        exps = exponent_vectors(num_delays, degree)
+        order = rng.permutation(len(exps))
+        terms = tuple((exps[i], float(rng.normal()) * (i % 5 != 0))
+                      for i in order)
+        op = PolyDelayOperator("once", Interval(0.0, 0.3), delays, degree,
+                               terms)
+        assert_same_arrays(poly_delay_to_gfrf(op),
+                           reference_poly_delay_gfrf(op))
 
 
 class TestFitPolyDelay:
@@ -384,3 +426,44 @@ class TestSlotTrieCache:
         assert g.coeffs[1].tolist() == [1.0, 2.0]
         assert g.slot_ids[1].tolist() == [[0], [1]]
         assert g.slot_delays.tolist() == [0.0, 0.1]
+
+
+class TestFromSlotsFolding:
+    @settings(max_examples=120)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_term_list_constructor(self, seed):
+        """A raw vocabulary with exact duplicates placed after their
+        first copy, unused entries anywhere (copies of used ones too) and
+        every occurrence on a random copy folds to the arrays the
+        term-list constructor numbers in first-use order."""
+        rng = np.random.default_rng(seed)
+        want = random_gfrf(rng, ATOMS)
+        entries = list(zip(want.slot_delays.tolist(), want.slot_factors))
+        raw, copies = [], [[] for _ in entries]
+        for v, entry in enumerate(entries):
+            for _ in range(int(rng.integers(0, 3))):    # unused entries
+                raw.append(entries[int(rng.integers(len(entries)))]
+                           if rng.random() < 0.5 else
+                           (float(rng.uniform(0.0, 0.6)), UNITY))
+            copies[v].append(len(raw))
+            raw.append(entry)
+            for _ in range(int(rng.integers(0, 3))):    # later duplicates
+                u = int(rng.integers(v + 1))
+                copies[u].append(len(raw))
+                raw.append(entries[u])
+        seen = set()
+        slot_ids = {}
+        for n, ids in want.slot_ids.items():
+            out = np.empty_like(ids)
+            for t, row in enumerate(ids.tolist()):
+                for j, v in enumerate(row):
+                    # first use of an entry takes its first copy
+                    out[t, j] = copies[v][0] if v not in seen else \
+                        copies[v][int(rng.integers(len(copies[v])))]
+                    seen.add(v)
+            slot_ids[n] = out
+        got = Gfrf.from_slots(want.h0, np.array([d for d, _ in raw]),
+                              tuple(f for _, f in raw),
+                              {n: c.copy() for n, c in want.coeffs.items()},
+                              slot_ids, want.atoms)
+        assert_same_arrays(got, want)
