@@ -5,7 +5,11 @@ The output spectrum of order n is the hyperplane sum over
 w_1 + ... + w_n = w of H_n X(w_1)...X(w_n).  Because every stored GFRF term
 factors per frequency slot, the sum reorganizes into an (n-1)-fold discrete
 convolution of per-slot spectra, which is what this module computes (the
-result equals the literal Riemann sum over the FFT grid).
+result equals the literal Riemann sum over the FFT grid).  The
+convolutions run on the GFRF's slot trie as products in the FFT domain:
+each trie node is lifted into it and lowered back at most once, however
+many terms share it, and each order is summed there before one last
+inverse transform.
 """
 
 from __future__ import annotations
@@ -44,9 +48,11 @@ def output_spectrum(g: Gfrf, spec: Spectrum,
     Order 1 is the pointwise product H_1 X; order n >= 2 contributes the
     hyperplane sum evaluated as a chain of grid convolutions of slot
     spectra exp(-i d w) factor(w) X(w), each weighted by domega / (2*pi).
-    Every vocabulary entry's slot spectrum is computed and transformed
-    once per call, and by linearity one convolution serves every term
-    sharing a slot prefix.
+    The convolutions run as products in the FFT domain on the slot trie
+    (``SlotTrie.contract``): each trie node is lifted into the FFT domain
+    once, however many children extend it, each extended row is lowered
+    back once, and the last slot is folded into one lifted row per
+    vocabulary entry, so each order ends in a single inverse transform.
 
     A convolution keeps bins [zero, zero + P) of the full 2P - 1, with
     zero = P // 2.  A circular one of size S wraps bin k + S onto bin k,
@@ -65,19 +71,21 @@ def output_spectrum(g: Gfrf, spec: Spectrum,
     weight = spec.domega / (2 * math.pi)
     size = _smooth_size(zero_idx + n_bins)
 
-    def convolve(a: np.ndarray, b_fft: np.ndarray) -> np.ndarray:
-        # rows of a by rows of the transformed slot table
-        full = np.fft.ifft(np.fft.fft(a, size, axis=1) * b_fft, axis=1)
+    def lift(rows: np.ndarray) -> np.ndarray:
+        return np.fft.fft(rows, size, axis=1)
+
+    def lower(rows: np.ndarray) -> np.ndarray:
+        full = np.fft.ifft(rows, axis=1)
         return full[:, zero_idx: zero_idx + n_bins] * weight
 
     slots = g.slot_table(spec.omegas) * spec.bins
-    # slot 1 enters the chain as it is, slots 2..n as right operands
-    slots_fft = np.fft.fft(slots, size, axis=1)
+    # slot 1 enters the chain as it is, slots 2..n lifted
+    slots_fft = lift(slots)
     out = np.zeros(n_bins, dtype=complex)
     for order in sorted(g.coeffs):
         if order <= max_order:
             out += g.slot_trie(order).contract(
-                [slots] + [slots_fft] * (order - 1), convolve)
+                [slots] + [slots_fft] * (order - 1), np.multiply, lift, lower)
     return Spectrum(spec.omega0, spec.domega, out, t0=spec.t0)
 
 

@@ -328,6 +328,26 @@ def sum_of_sinusoids(seed: int, num_terms: int, freq_range: tuple[float, float],
     ``[0, 2*pi)``; amplitudes are scaled so ``sum |a_j| == amp_bound``, which
     also bounds the sup norm of the generated signal.
     """
+    k = np.arange(grid_length(domain, dt))
+    return Signal(domain[0], dt, sinusoid_samples(
+        seed, num_terms, freq_range, amp_bound, domain[0], dt, k))
+
+
+def grid_length(domain: tuple[float, float], dt: float) -> int:
+    """Number of samples at step ``dt`` on ``domain``, both ends included."""
+    if domain[1] <= domain[0]:
+        raise BadRange("empty time domain")
+    return int(round((domain[1] - domain[0]) / dt)) + 1
+
+
+def sinusoid_samples(seed: int, num_terms: int,
+                     freq_range: tuple[float, float], amp_bound: float,
+                     t0: float, dt: float, k: np.ndarray) -> np.ndarray:
+    """The ``sum_of_sinusoids`` draw of ``seed`` at the times t0 + dt*k.
+
+    On a domain starting at ``t0`` it gives the samples with indices ``k``
+    of ``sum_of_sinusoids``, bit for bit, without computing the others.
+    """
     lo, hi = freq_range
     nyq = math.pi / dt
     if not (0 < lo <= hi < nyq):
@@ -335,11 +355,8 @@ def sum_of_sinusoids(seed: int, num_terms: int, freq_range: tuple[float, float],
             f"freq_range {freq_range} must lie within (0, {nyq}) rad/s")
     if amp_bound <= 0:
         raise BadRange("amp_bound must be positive")
-    if domain[1] <= domain[0]:
-        raise BadRange("empty time domain")
-    n = int(round((domain[1] - domain[0]) / dt)) + 1
-    t = domain[0] + dt * np.arange(n)
-    values = np.zeros(n)
+    t = t0 + dt * np.asarray(k)
+    values = np.zeros(t.shape)
     if num_terms > 0:
         rng = np.random.default_rng(seed)
         freqs = rng.uniform(lo, hi, size=num_terms)
@@ -348,7 +365,7 @@ def sum_of_sinusoids(seed: int, num_terms: int, freq_range: tuple[float, float],
         amps *= amp_bound / amps.sum()
         for a, w, p in zip(amps, freqs, phases):
             values += a * np.sin(w * t + p)
-    return Signal(domain[0], dt, values)
+    return values
 
 
 def default_metric_dictionary(dt: float,
@@ -408,26 +425,48 @@ def metric_d(x: Signal, y: Signal, dictionary: list[Kernel] | None = None,
 # ---------------------------------------------------------------------------
 
 def load_signal_csv(path) -> Signal:
-    """Read a ``t,value`` CSV, verifying the grid is uniform (rel. 1e-6)."""
-    times, values = [], []
+    """Read a ``t,value`` CSV, verifying the grid is uniform (rel. 1e-6).
+
+    Blank lines are skipped and fields after the second ignored; a row
+    that is not two numbers raises BadRange naming the file and its line.
+    """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if [c.strip().lower() for c in header[:2]] != ["t", "value"]:
-            raise NonUniformGrid(f"{path}: expected header 't,value'")
-        for row in reader:
-            if not row:
-                continue
-            times.append(float(row[0]))
-            values.append(float(row[1]))
-    t = np.asarray(times)
-    if t.size < 2:
+        lines = fh.read().splitlines()
+    header = next(csv.reader(lines[:1]), [])
+    if [c.strip().lower() for c in header[:2]] != ["t", "value"]:
+        raise NonUniformGrid(f"{path}: expected header 't,value'")
+    rows = lines[1:]
+    try:
+        # np.loadtxt warns on input with no data lines
+        pairs = _read_pairs(rows) if any(rows) else np.empty((0, 2))
+    except ValueError:
+        k = next(k for k, line in enumerate(rows, 2)
+                 if line and not _is_pair(line))
+        raise BadRange(f"{path}: line {k} is not a 't,value' row of two "
+                       f"numbers: {lines[k - 1]!r}") from None
+    if len(pairs) < 2:
         raise NonUniformGrid(f"{path}: need at least two samples")
+    t, values = pairs.T
     steps = np.diff(t)
     dt = float(np.median(steps))
     if dt <= 0 or np.any(np.abs(steps - dt) > 1e-6 * dt):
         raise NonUniformGrid(f"{path}: sampling grid is not uniform")
-    return Signal(float(t[0]), dt, np.asarray(values))
+    return Signal(float(t[0]), dt, values)
+
+
+def _read_pairs(lines: list[str]) -> np.ndarray:
+    """The first two comma-separated numbers of every non-blank line,
+    shape (n, 2)."""
+    return np.loadtxt(lines, delimiter=",", usecols=(0, 1), ndmin=2,
+                      comments=None)
+
+
+def _is_pair(line: str) -> bool:
+    try:
+        _read_pairs([line])
+    except ValueError:
+        return False
+    return True
 
 
 def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:

@@ -26,7 +26,15 @@ import numpy as np
 from .errors import BadRange, RankDeficient, UnderdeterminedSystem
 from .logic import Interval
 from .monitor import sliding_extremum
-from .signals import Kernel, Signal, align_signals, correlate, sum_of_sinusoids
+from .signals import (
+    Kernel,
+    Signal,
+    align_signals,
+    correlate,
+    grid_length,
+    sinusoid_samples,
+    sum_of_sinusoids,
+)
 
 UNITY = "unity"
 
@@ -78,9 +86,19 @@ class FitConfig:
         return cls(**kwargs)
 
     def training_signal(self, index: int, seed_offset: int = 0) -> Signal:
-        return sum_of_sinusoids(self.seed * 7919 + seed_offset + index,
-                                self.num_terms, self.freq_range,
-                                self.amp_bound, (0.0, self.duration), self.dt)
+        return sum_of_sinusoids(*self._draw(index, seed_offset),
+                                (0.0, self.duration), self.dt)
+
+    def training_samples(self, index: int, seed_offset: int,
+                         k: np.ndarray) -> np.ndarray:
+        """``training_signal(index, seed_offset).samples[k]``, computing
+        only those samples."""
+        return sinusoid_samples(*self._draw(index, seed_offset), 0.0,
+                                self.dt, k)
+
+    def _draw(self, index: int, seed_offset: int) -> tuple:
+        return (self.seed * 7919 + seed_offset + index, self.num_terms,
+                self.freq_range, self.amp_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -131,20 +149,30 @@ class PolyDelayOperator:
     def coefficients(self) -> dict[tuple[int, ...], float]:
         return dict(self.terms)
 
+    def lags(self, dt: float) -> tuple[list[int], int]:
+        """The delays rounded to sample offsets, and the index ``ob`` of the
+        first input sample with an output: output k reads input samples
+        ob + k - offset_j.
+
+        ``ob`` is the window trim floor(hi / dt), widened when rounding
+        pushes an off-grid endpoint delay one step past it, so that every
+        offset fits.
+        """
+        offsets = [int(math.floor(d / dt + 0.5)) for d in self.delays]
+        return offsets, max(math.floor(self.interval.hi / dt + 1e-9),
+                            max(offsets))
+
     def delayed_matrix(self, u: Signal) -> tuple[np.ndarray, Signal]:
         """Samples of u at t - delay_j for every t in the output domain.
 
-        Delays are rounded to grid indices here (time-domain application);
-        the returned matrix has shape (num_outputs, num_delays).
+        Delays are rounded to grid indices here (time-domain application,
+        see ``lags``); the returned matrix has shape (num_outputs,
+        num_delays).
         """
-        dt = u.dt
-        offsets = [int(math.floor(d / dt + 0.5)) for d in self.delays]
-        # rounding can push an off-grid endpoint delay one step past the
-        # window trim; widen the trim so every column fits
-        ob = max(math.floor(self.interval.hi / dt + 1e-9), max(offsets))
+        offsets, ob = self.lags(u.dt)
         n = len(u)
         cols = [u.samples[ob - o: n - o] for o in offsets]
-        out_template = Signal(u.t0 + ob * dt, dt, np.zeros(n - ob))
+        out_template = Signal(u.t0 + ob * u.dt, u.dt, np.zeros(n - ob))
         return np.column_stack(cols), out_template
 
     def apply(self, u: Signal) -> Signal:
@@ -205,13 +233,17 @@ class GfrfTerm:
 
 
 EVAL_BLOCK = 1024           # frequency points per evaluation block
-CONTRACT_VALUES = 1 << 14   # complex values per row chunk of a contraction
+CONTRACT_VALUES = 1 << 15   # complex values per row chunk of a contraction
 
 
 def _real_matmul(real: np.ndarray, values: np.ndarray) -> np.ndarray:
     """real @ values for a real matrix and a C-ordered complex one, as one
     real product over the interleaved real and imaginary parts."""
     return (real @ values.view(float)).view(complex)
+
+
+def _identity(rows: np.ndarray) -> np.ndarray:
+    return rows
 
 
 @dataclass(frozen=True)
@@ -228,25 +260,33 @@ class SlotTrie:
     levels: tuple[tuple[np.ndarray, np.ndarray], ...]
     weights: np.ndarray
 
-    def contract(self, tables: list[np.ndarray], combine) -> np.ndarray:
+    def contract(self, tables: list[np.ndarray], combine,
+                 lift=_identity, lower=_identity) -> np.ndarray:
         """sum_t coeff_t * slot_1 x ... x slot_n for one order.
 
-        ``tables[j]`` holds one C-ordered row per vocabulary entry for
-        slot j: its values, shape (V, P), or for j >= 1 whatever form
-        ``combine`` takes as its right operand (the FFT of the values, for
-        spectra); ``combine`` is a bilinear row-by-row product of two 2-D
-        arrays with equal row counts (pointwise for responses, grid
-        convolution for spectra, outer product for tensor grids), applied
-        left to right.  Rows go through it in chunks whose
-        output holds at most CONTRACT_VALUES values, and the last prefix
-        level is folded into the weights chunk by chunk, never held whole.
+        ``combine`` is a bilinear row-by-row product of two 2-D arrays with
+        equal row counts, applied left to right: pointwise for responses,
+        outer product for tensor grids, and for spectra a pointwise product
+        in the FFT domain.  ``lift`` and ``lower`` are linear maps on rows,
+        identity by default, that carry a row into the domain
+        ``combine`` works in and back (the padded FFT, and the inverse FFT
+        cropped to the output bins, for spectra).  ``tables[j]`` holds one
+        C-ordered row per vocabulary entry for slot j + 1: its values for
+        j = 0, shape (V, P), and for j >= 1 their lifted form.
+
+        Each trie node is lifted once, before its children extend it, and
+        each extended row is lowered once; the last slot is folded into
+        one lifted row per vocabulary entry, and their sum is lowered once.
+        Rows go through ``combine`` in chunks whose output holds at most
+        CONTRACT_VALUES values, and the last prefix level is folded into
+        the weights chunk by chunk, never held whole.
         """
         if not self.levels:
             return _real_matmul(self.weights, tables[0])[0]
 
         def extend(acc, j, rows):
             parent, last = self.levels[j]
-            return combine(acc[parent[rows]], tables[j][last[rows]])
+            return lower(combine(acc[parent[rows]], tables[j][last[rows]]))
 
         def chunks(length, a, b):
             # an empty call gives the width of the combine's output rows
@@ -255,6 +295,7 @@ class SlotTrie:
 
         acc = tables[0][self.levels[0][1]]
         for j in range(1, len(self.levels) - 1):
+            acc = lift(acc)
             acc = np.concatenate([extend(acc, j, r) for r in chunks(
                 len(self.levels[j][1]), acc, tables[j])])
         # mixed[v] = sum_u weights[u, v] * prefix_u over (n-1)-slot prefixes
@@ -262,14 +303,17 @@ class SlotTrie:
         if top == 0:
             mixed = _real_matmul(self.weights.T, acc)
         else:
+            acc = lift(acc)
             mixed = _accumulate(
                 _real_matmul(self.weights[r].T, extend(acc, top, r))
                 for r in chunks(len(self.weights), acc, tables[top]))
         # combine is bilinear, so summing combine(prefix_u, sum_v
         # weights[u, v] * slot_v) over u equals summing combine(mixed[v],
         # slot_v) over v: V combines, not one per prefix
-        return _accumulate(_row_sum(combine(mixed[r], tables[-1][r]))
-                           for r in chunks(len(mixed), mixed, tables[-1]))
+        mixed = lift(mixed)
+        return lower(_accumulate(
+            _row_sum(combine(mixed[r], tables[-1][r]))
+            for r in chunks(len(mixed), mixed, tables[-1]))[None])[0]
 
 
 def _chunks(length: int, step: int) -> list[slice]:
@@ -655,16 +699,21 @@ def fit_poly_delay(op: str, interval: Interval | tuple[float, float],
     mode = "max" if op == "once" else "min"
     proto = PolyDelayOperator(op, interval, delays, cfg.degree,
                               tuple((r, 0.0) for r in exps))
+    offsets, ob = proto.lags(cfg.dt)
     blocks = []
     targets = []
     for ell in range(cfg.num_signals):
         u = cfg.training_signal(ell)
         exact = sliding_extremum(u, interval, mode)
-        sampled, template = proto.delayed_matrix(u)
-        ks = _training_times((template.t0, template.t_end), u.dt,
-                             cfg.times_per_signal)
-        blocks.append(sampled[ks])
-        targets.append(exact.samples[ks])
+        # the outputs of delayed_matrix(u) span input samples ob..len(u)-1
+        t_first = u.t0 + ob * u.dt
+        ks = ob + _training_times(
+            (t_first, t_first + (len(u) - ob - 1) * u.dt), u.dt,
+            cfg.times_per_signal)
+        blocks.append(u.samples[ks[:, None] - offsets])
+        # the exact extremum starts at its own window trim, one sample
+        # before ob when an off-grid top delay rounds up: index it by time
+        targets.append(exact.samples[ks - ob + exact.index_of(t_first)])
     # Features are computed row by row, so one call over the stacked rows
     # gives the same design matrix as one call per signal.
     design = polynomial_features(np.vstack(blocks), exps)
@@ -702,18 +751,26 @@ def fit_separable_minmax(mode: str, degree: int | None = None,
     degree = cfg.degree if degree is None else degree
     if degree < 1:
         raise BadRange("separable fit needs degree >= 1")
+
+    def times(length):
+        return np.round(np.linspace(0, length - 1,
+                                    cfg.times_per_signal)).astype(int)
+
     if pairs is None:
-        pairs = [(cfg.training_signal(ell, seed_offset=104729),
-                  cfg.training_signal(ell, seed_offset=1299709))
+        # the pair (training_signal(ell, 104729), training_signal(ell,
+        # 1299709)), read only at its sample times
+        ks = times(grid_length((0.0, cfg.duration), cfg.dt))
+        drawn = [(cfg.training_samples(ell, 104729, ks),
+                  cfg.training_samples(ell, 1299709, ks))
                  for ell in range(cfg.num_signals)]
-    us, vs = [], []
-    for u_sig, v_sig in pairs:
-        ks = np.round(np.linspace(0, len(u_sig) - 1,
-                                  cfg.times_per_signal)).astype(int)
-        us.append(u_sig.samples[ks])
-        vs.append(v_sig.samples[np.minimum(ks, len(v_sig) - 1)])
-    u = np.concatenate(us)
-    v = np.concatenate(vs)
+    else:
+        drawn = []
+        for u_sig, v_sig in pairs:
+            ks = times(len(u_sig))
+            drawn.append((u_sig.samples[ks],
+                          v_sig.samples[np.minimum(ks, len(v_sig) - 1)]))
+    u = np.concatenate([a for a, _ in drawn])
+    v = np.concatenate([b for _, b in drawn])
     uu = np.concatenate([u, v])
     vv = np.concatenate([v, u])
     if uu.size <= 2 * degree:

@@ -135,6 +135,42 @@ class TestOutputSpectrum:
         want, scale = reference_output_spectrum(g, spec, max_order)
         assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_row_chunking_leaves_spectra_unchanged(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        g = random_gfrf(rng, ATOMS, max_order=4, max_terms=30)
+        spec = fft(Signal(0.0, DT, rng.normal(size=257)))
+        default = {n: output_spectrum(g, spec, n).bins for n in (2, 3, 4)}
+        scale = {n: reference_output_spectrum(g, spec, n)[1]
+                 for n in default}
+        # one row per chunk, then every row of a contraction in one chunk
+        for values in (1, 1 << 40):
+            monkeypatch.setattr(volterra, "CONTRACT_VALUES", values)
+            for n, want in default.items():
+                got = output_spectrum(g, spec, n).bins
+                assert np.max(np.abs(got - want)) <= 1e-15 * scale[n]
+
+    def test_each_trie_node_is_transformed_once(self, kernel_table,
+                                                 monkeypatch):
+        # orders 1-4 of once[0.2,0.4] p over its 6 slots lift the slot
+        # table, the trie nodes below each top level and each order's 6
+        # folded rows (57 rows), and lower each extended row and each
+        # order's sum (101); transforming every parent once per child and
+        # lowering every folded row took 238
+        g = build_formula_operator(parse_formula("once[0.2,0.4] p"),
+                                   kernel_table, FitConfig()).gfrf
+        spec = fft(tapered_mix(3, 3, 1.5, 4.0))
+        rows = []
+        for name in ("fft", "ifft"):
+            def counted(a, *args, _transform=getattr(np.fft, name), **kw):
+                out = _transform(a, *args, **kw)
+                rows.append(out.size // out.shape[-1])
+                return out
+            monkeypatch.setattr(np.fft, name, counted)
+        output_spectrum(g, spec, 4)
+        assert g.term_counts() == {1: 6, 2: 21, 3: 56, 4: 126}
+        assert sum(rows) <= 158
+
 
 def _prime_factors(m):
     out, p = [], 2

@@ -111,6 +111,18 @@ class TestMonitorCommand:
         assert err.startswith("error[SignalTooShortForFormula]:")
         assert "depth" in err
 
+    @pytest.mark.parametrize("row", ["0.004", "0.004,abc"])
+    def test_malformed_signal_csv_exits_2(self, workdir, tmp_path, capsys,
+                                          row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"t,value\n0.0,1\n0.002,2\n{row}\n")
+        code = main(["monitor", "p", str(path),
+                     "--kernels", str(workdir / "kernels.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[BadRange]:")
+        assert "line 4" in err and "Traceback" not in err
+
     def test_unknown_atom_exits_2(self, workdir, capsys):
         code = main(["monitor", "nosuch", str(workdir / "const.csv"),
                      "--kernels", str(workdir / "kernels.json")])

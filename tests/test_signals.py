@@ -244,6 +244,13 @@ class TestSumOfSinusoids:
         x = sum_of_sinusoids(1, 5, (1.0, 20.0), 0.8, (0.0, 10.0), DT)
         assert np.abs(x.samples).max() <= 0.8 + 1e-12
 
+    def test_samples_at_chosen_indices(self):
+        from bbstl.signals import sinusoid_samples
+        x = sum_of_sinusoids(42, 5, (1.0, 10.0), 1.5, (0.25, 3.0), DT)
+        k = np.array([0, 7, 400, len(x) - 1, 7])
+        got = sinusoid_samples(42, 5, (1.0, 10.0), 1.5, 0.25, DT, k)
+        assert np.array_equal(got, x.samples[k])
+
     def test_bad_range(self):
         with pytest.raises(BadRange):
             sum_of_sinusoids(0, 2, (1.0, 1e6), 1.0, (0.0, 1.0), DT)
@@ -303,6 +310,32 @@ class TestFileFormats:
     def test_nonuniform_grid_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,value\n0.0,1\n0.1,2\n0.3,3\n")
+        with pytest.raises(NonUniformGrid):
+            load_signal_csv(path)
+
+    @pytest.mark.parametrize("row", ["0.004", "0.004,abc", "  "])
+    def test_malformed_row_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"t,value\n0.0,1\n\n0.002,2\n{row}\n0.006,4\n")
+        with pytest.raises(BadRange) as err:
+            load_signal_csv(path)
+        assert str(path) in str(err.value)
+        assert "line 5 " in str(err.value) and repr(row) in str(err.value)
+
+    def test_blank_lines_and_extra_fields_ignored(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        path.write_text("t,value\r\n0.5,1\r\n\r\n0.502,-2,x\r\n"
+                        "0.504,3\r\n\r\n")
+        x = load_signal_csv(path)
+        assert (x.t0, len(x)) == (0.5, 3)
+        assert abs(x.dt - 0.002) < 1e-12
+        assert x.samples.tolist() == [1.0, -2.0, 3.0]
+
+    @pytest.mark.parametrize("text", ["", "t,value\n", "t,value\n0.0,1\n",
+                                      "time,v\n0.0,1\n0.1,2\n"])
+    def test_header_or_samples_missing(self, tmp_path, text):
+        path = tmp_path / "short.csv"
+        path.write_text(text)
         with pytest.raises(NonUniformGrid):
             load_signal_csv(path)
 

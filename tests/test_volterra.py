@@ -267,6 +267,39 @@ class TestFitPolyDelay:
                                    np.concatenate(targets), FAST.ridge)
         assert [a for _, a in fit.terms] == coef.tolist()
 
+    @pytest.mark.parametrize("op, hi", [("once", 0.3351), ("hist", 0.3359)])
+    def test_off_grid_targets_follow_the_template_times(self, op, hi):
+        # the top delay hi rounds up to 168 samples, one past the window
+        # trim of 167: the template starts one sample after the exact
+        # extremum, and each target must be the extremum at its row's time
+        from bbstl.monitor import sliding_extremum
+        from bbstl.volterra import (
+            _scaled_lstsq,
+            _training_times,
+            polynomial_features,
+        )
+        interval = Interval(0.0, hi)
+        fit = fit_poly_delay(op, interval, FAST)
+        exps = fit.exponents()
+        proto = PolyDelayOperator(op, interval, fit.delays, FAST.degree,
+                                  tuple((r, 0.0) for r in exps))
+        blocks, targets = [], []
+        for ell in range(FAST.num_signals):
+            u = FAST.training_signal(ell)
+            sampled, template = proto.delayed_matrix(u)
+            exact = sliding_extremum(u, interval,
+                                     "max" if op == "once" else "min")
+            assert exact.t0 < template.t0
+            ks = _training_times((template.t0, template.t_end), u.dt,
+                                 FAST.times_per_signal)
+            blocks.append(sampled[ks])
+            targets.append([exact.samples[exact.index_of(t)]
+                            for t in template.times[ks]])
+        coef, _, _ = _scaled_lstsq(polynomial_features(np.vstack(blocks),
+                                                       exps),
+                                   np.concatenate(targets), FAST.ridge)
+        assert [a for _, a in fit.terms] == coef.tolist()
+
     def test_underdetermined_rejected(self):
         cfg = FitConfig(num_signals=2, times_per_signal=10)
         with pytest.raises(UnderdeterminedSystem):
@@ -288,6 +321,18 @@ class TestSeparableMinMax:
         s = np.linspace(-0.9, 0.9, 41)
         total = fit.r(s) + fit.q(s)
         assert np.abs(total - s).max() < 0.01
+
+    @pytest.mark.parametrize("mode", ["min", "max"])
+    def test_default_pairs_are_the_training_signals(self, mode):
+        # the default fit reads only the sampled times of its pairs
+        pairs = [(CFG.training_signal(ell, 104729),
+                  CFG.training_signal(ell, 1299709))
+                 for ell in range(CFG.num_signals)]
+        want = fit_separable_minmax(mode, cfg=CFG, pairs=pairs)
+        got = fit_separable_minmax(mode, cfg=CFG)
+        assert got.r.coeffs == want.r.coeffs
+        assert got.q.coeffs == want.q.coeffs
+        assert got.rms_residual == want.rms_residual
 
     def test_swap_symmetry(self):
         fit = fit_separable_minmax("max", cfg=CFG)
