@@ -22,7 +22,8 @@ import numpy as np
 from .errors import BadRange, GridTooLarge, OrderTooHigh
 from .logic import Formula, KernelTable
 from .monitor import RobustnessSignal, robustness
-from .signals import Signal, Spectrum, complex_columns, lowpass, write_csv
+from .signals import (Signal, Spectrum, _smooth_size, complex_columns,
+                      lowpass, write_csv)
 from .volterra import Gfrf
 
 MAX_SPECTRUM_ORDER = 4
@@ -87,22 +88,6 @@ def output_spectrum(g: Gfrf, spec: Spectrum,
             out += g.slot_trie(order).contract(
                 [slots] + [slots_fft] * (order - 1), np.multiply, lift, lower)
     return Spectrum(spec.omega0, spec.domega, out, t0=spec.t0)
-
-
-def _smooth_size(n: int) -> int:
-    """Smallest 2^a * 3^b * 5^c >= n, a length the FFT handles fast."""
-    best = 1 << max(n - 1, 0).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            p = p35
-            while p < n:
-                p *= 2
-            best = min(best, p)
-            p35 *= 3
-        p5 *= 5
-    return best
 
 
 def gfrf_grid(g: Gfrf, order: int, omega_max: float, num_points: int,
@@ -228,10 +213,14 @@ def compression_safety_report(phi: Formula, x: Signal, cutoff: float,
                                          RobustnessSignal]:
     """Monitor x and its low-passed version and compare the verdicts.
 
-    Returns the report plus the compressed signal and both robustness
-    signals so callers can export them.  The compression is safe when the
-    relative robustness change stays within tolerance and no truth value
-    flips (ties below ``eps_tie`` are ignored).
+    The compressed signal is ``lowpass(x, cutoff)``: it keeps the DFT bins
+    k of x with 2*pi*k / (N*dt) <= cutoff, symmetric in +-k, through one
+    circular convolution with the band's Dirichlet kernel; cutoff 0 keeps
+    the DC bin alone, so x is compared with its mean.  Returns the report
+    plus the compressed signal and both robustness signals so callers can
+    export them.  The compression is safe when the relative robustness
+    change stays within tolerance and no truth value flips (ties below
+    ``eps_tie`` are ignored).
     """
     tol = tolerances or Tolerances()
     xc = lowpass(x, cutoff)

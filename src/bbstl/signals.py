@@ -303,16 +303,62 @@ def ifft(spec: Spectrum) -> Signal:
 
 
 def lowpass(x: Signal, cutoff: float) -> Signal:
-    """Zero every spectral bin with |omega| > cutoff and transform back."""
-    if not 0 < cutoff < x.nyquist:
+    """Keep the DFT bins of x with |omega| <= cutoff, zero the rest.
+
+    Bin k of an N-sample signal sits at 2*pi*k / (N*dt) rad/s
+    (``np.fft.rfftfreq``), and the band keeps bins -K..K, where K is the
+    last bin at or below ``cutoff``, symmetric in +-k; the Nyquist bin of
+    an even N counts once, as in ``np.fft.rfft``.  Cutoff 0 keeps the DC
+    bin alone and gives the mean.  Zeroing bins is circular convolution
+    with the band's Dirichlet kernel
+
+        d[j] = sin(pi*(2K+1)*j/N) / (N*sin(pi*j/N)),   d[0] = (2K+1)/N,
+
+    computed as a linear convolution through real FFTs of a 5-smooth size
+    >= 2N - 1 whose tail is folded back, so no transform has length N and
+    the cost is O(N log N) for any N.  The result does not depend on t0.
+    """
+    if not cutoff >= 0:
+        raise BadRange(f"cutoff must be a nonnegative frequency, got {cutoff}")
+    if cutoff >= x.nyquist:
         raise CutoffAboveNyquist(
-            f"cutoff {cutoff} outside (0, {x.nyquist}) rad/s")
-    spec = fft(x)
-    bins = np.where(np.abs(spec.omegas) > cutoff, 0.0, spec.bins)
-    n = len(spec)
-    raw = np.fft.ifftshift(bins * np.exp(1j * spec.omegas * spec.t0))
-    values = np.fft.ifft(raw) / x.dt
-    return Signal(x.t0, x.dt, values.real)
+            f"cutoff {cutoff} outside [0, {x.nyquist}) rad/s")
+    n = len(x)
+    kept = np.count_nonzero(2 * math.pi * np.fft.rfftfreq(n, x.dt) <= cutoff)
+    # kept = K + 1; bins -K..K are 2K + 1, or all n when the band of an
+    # even n reaches its Nyquist bin
+    width = min(2 * kept - 1, n)
+    # d is even, d[n - h] = d[h]: evaluate h = 1..n//2 and mirror the rest
+    h = np.arange(1, n // 2 + 1)
+    # the numerator's angle pi*s/n, folded in integers into [-pi/2, pi/2]
+    # so that it stays exact; sin(pi*h/n) needs no folding
+    s = n - width * h % (2 * n)                # sin(pi - a) = sin(a)
+    a = np.abs(s)
+    half = (np.copysign(np.sin(math.pi / n * np.minimum(a, n - a)), s)
+            / (n * np.sin(math.pi / n * h)))
+    kernel = np.concatenate(([width / n], half, half[:(n - 1) // 2][::-1]))
+    size = _smooth_size(2 * n - 1)
+    full = np.fft.irfft(np.fft.rfft(x.samples, size)
+                        * np.fft.rfft(kernel, size), size)
+    y = full[:n]
+    y[:n - 1] += full[n: 2 * n - 1]
+    return x.with_samples(y)
+
+
+def _smooth_size(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= n, a length the FFT handles fast."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 # ---------------------------------------------------------------------------

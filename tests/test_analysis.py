@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from bbstl import volterra
 from bbstl.analysis import (
-    _smooth_size,
     compression_safety_report,
     cutoff_scan,
     gfrf_grid,
@@ -17,7 +16,13 @@ from bbstl.analysis import (
 from bbstl.compose import build_formula_operator
 from bbstl.errors import BadRange, GridTooLarge, OrderTooHigh
 from bbstl.logic import parse_formula
-from bbstl.signals import Signal, Spectrum, fft, make_gaussian_kernel
+from bbstl.signals import (
+    Signal,
+    Spectrum,
+    _smooth_size,
+    fft,
+    make_gaussian_kernel,
+)
 from bbstl.volterra import (
     UNITY,
     FitConfig,

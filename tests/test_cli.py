@@ -10,7 +10,7 @@ import pytest
 
 import bbstl
 from bbstl.cli import main
-from bbstl.signals import Signal, save_signal_csv
+from bbstl.signals import Signal, load_signal_csv, save_signal_csv
 
 from conftest import DT, compression_signal
 
@@ -242,6 +242,40 @@ class TestCompressCommand:
         report = json.loads((out / "safety_report.json").read_text())
         assert report["verdict"] == "unsafe"
         assert report["truth_flip_count"] > 0
+
+    def test_zero_cutoff_keeps_the_mean(self, workdir):
+        out = workdir / "comp0"
+        code = main(["compress", "once[0.2,0.4] p",
+                     str(workdir / "signal.csv"),
+                     "--kernels", str(workdir / "kernels.json"),
+                     "--cutoff-hz", "0", "--out", str(out)])
+        assert code == 0
+        x = load_signal_csv(workdir / "signal.csv").samples
+        xc = load_signal_csv(out / "compressed.csv").samples
+        assert np.abs(xc - x.mean()).max() < 1e-12
+        report = json.loads((out / "safety_report.json").read_text())
+        assert report["cutoff"] == 0.0
+
+    def test_auto_threshold_above_every_response_compresses(self, workdir):
+        # no response reaches the threshold, so the scan finds omega* = 0
+        out = workdir / "comp_auto"
+        code = main(["compress", "once[0.2,0.4] p",
+                     str(workdir / "signal.csv"),
+                     "--kernels", str(workdir / "kernels.json"),
+                     "--fit", str(workdir / "fit.json"),
+                     "--auto-threshold", "100", "--out", str(out)])
+        assert code == 0
+        report = json.loads((out / "safety_report.json").read_text())
+        assert report["cutoff"] == 0.0
+
+    def test_negative_cutoff_is_data_error(self, workdir, capsys):
+        out = workdir / "comp_neg"
+        code = main(["compress", "p", str(workdir / "signal.csv"),
+                     "--kernels", str(workdir / "kernels.json"),
+                     "--cutoff-hz", "-1", "--out", str(out)])
+        assert code == 2
+        assert "error[BadRange]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_cutoff_is_usage_error(self, workdir, capsys):
         code = main(["compress", "p", str(workdir / "signal.csv"),

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from bbstl.errors import (
     BadRange,
@@ -191,6 +192,31 @@ class TestFourier:
         assert np.abs(spec.bins[sel] - analytic).max() < 1e-6
 
 
+def band_oracle(x, cutoff):
+    """Real-FFT low-pass: zero the rfft bins above the cut-off."""
+    bins = np.fft.rfft(x.samples)
+    omegas = 2 * np.pi * np.fft.rfftfreq(len(x), d=x.dt)
+    bins[omegas > cutoff] = 0.0
+    return np.fft.irfft(bins, n=len(x))
+
+
+def bin_omega(n, dt, k):
+    """Angular frequency of rfft bin k, as the band rule computes it."""
+    return 2 * np.pi * np.fft.rfftfreq(n, d=dt)[k]
+
+
+def assert_matches_band_oracle(x, cutoff):
+    err = np.abs(lowpass(x, cutoff).samples - band_oracle(x, cutoff)).max()
+    assert err <= 1e-11 * np.abs(x.samples).max()
+
+
+def is_5_smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
 class TestLowpass:
     def test_above_band_cutoff_is_identity(self):
         # DFT-band-limited input: integer periods over the window, so no
@@ -224,10 +250,88 @@ class TestLowpass:
         twice = lowpass(once, c)
         assert np.abs(twice.samples - once.samples).max() < 1e-9
 
+    # (n, dt, t0): odd primes, the perfbench lengths 6,001 and 30,001
+    # (19 * 1579), even 5-smooth lengths, and shifted time origins.  At
+    # 6,000 samples of 2 ms, 1.5 Hz is bin 18: the band must keep bins -18
+    # and +18 alike, or bin 18 enters at half weight
+    GRIDS = [(1009, DT, 0.0), (7919, 0.01, -3.7), (6001, DT, 0.0),
+             (30001, DT, 1.25), (6000, DT, 0.0), (4096, 0.01, 2.5),
+             (14, 0.1, 0.0)]
+
+    @pytest.mark.parametrize("n, dt, t0", GRIDS)
+    def test_matches_real_fft_band_oracle(self, n, dt, t0):
+        x = Signal(t0, dt, np.random.default_rng(n).standard_normal(n) + 0.3)
+        for k in {0, 1, min(18, n // 2 - 1), n // 7, n // 2 - 1}:
+            on_bin = bin_omega(n, dt, k)
+            between = 0.5 * (on_bin + bin_omega(n, dt, k + 1))
+            for cutoff in (on_bin, between):
+                assert_matches_band_oracle(x, cutoff)
+        assert_matches_band_oracle(x, 2 * np.pi * 1.5)
+
+    def test_band_reaching_nyquist_bin_is_identity(self):
+        # for 14 samples at 0.1 s the Nyquist bin computes just below
+        # pi/dt, so a cut-off on it keeps every bin, that one once
+        x = Signal(0.0, 0.1, np.random.default_rng(2).standard_normal(14))
+        cutoff = bin_omega(14, 0.1, 7)
+        assert cutoff < x.nyquist
+        assert np.abs(lowpass(x, cutoff).samples - x.samples).max() < 1e-14
+
+    @given(n=st.integers(3, 4000), dt=st.sampled_from([DT, 0.01, 0.1]),
+           t0=st.floats(-10.0, 10.0), k=st.integers(0, 2000),
+           on_bin=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_band_oracle_sweep(self, n, dt, t0, k, on_bin, seed):
+        k = k % (n // 2 + 1)
+        cutoff = bin_omega(n, dt, k)
+        if not on_bin and k < n // 2:
+            cutoff = 0.5 * (cutoff + bin_omega(n, dt, k + 1))
+        x = Signal(t0, dt, np.random.default_rng(seed).uniform(-1, 1, n))
+        if cutoff < x.nyquist:
+            assert_matches_band_oracle(x, cutoff)
+
+    @pytest.mark.parametrize("n", [2, 3, 6000, 6001])
+    def test_zero_cutoff_keeps_the_mean(self, n):
+        x = Signal(0.5, DT, np.random.default_rng(n).standard_normal(n) + 2.0)
+        y = lowpass(x, 0.0)
+        assert np.abs(y.samples - x.samples.mean()).max() < 1e-12
+
+    @pytest.mark.parametrize("cutoff", [-1e-9, -3.0, math.nan, -math.inf])
+    def test_negative_or_nan_cutoff_rejected(self, cutoff):
+        with pytest.raises(BadRange):
+            lowpass(const_signal(1.0), cutoff)
+
     def test_cutoff_above_nyquist_rejected(self):
         x = const_signal(1.0)
         with pytest.raises(CutoffAboveNyquist):
             lowpass(x, x.nyquist * 1.5)
+
+    @pytest.mark.parametrize("scale", [1.0, math.inf])
+    def test_cutoff_at_nyquist_or_infinite_rejected(self, scale):
+        x = const_signal(1.0)
+        with pytest.raises(CutoffAboveNyquist):
+            lowpass(x, x.nyquist * scale)
+
+    def test_transforms_are_5_smooth_and_few(self, monkeypatch):
+        # no transform of the signal's own length, which for 30,001 =
+        # 19 * 1579 would fall back to a Bluestein transform
+        lengths = []
+
+        def record(name, default_length):
+            real = getattr(np.fft, name)
+
+            def wrapped(a, n=None, *args, **kwargs):
+                lengths.append(n if n is not None
+                               else default_length(np.shape(a)[-1]))
+                return real(a, n, *args, **kwargs)
+            monkeypatch.setattr(np.fft, name, wrapped)
+
+        for name in ("rfft", "fft", "ifft"):
+            record(name, lambda m: m)
+        record("irfft", lambda m: 2 * (m - 1))
+        x = sum_of_sinusoids(3, 5, (0.5, 40.0), 1.0, (0.0, 60.0), DT)
+        assert len(x) == 30001
+        lowpass(x, 2 * np.pi * 1.5)
+        assert 1 <= len(lengths) <= 3
+        assert all(is_5_smooth(m) for m in lengths), lengths
 
 
 class TestSumOfSinusoids:
